@@ -5,7 +5,9 @@ maximum, whose values are pinned by convention: 0 and 1 for the
 piecewise-linear map on the order polytope, 1 and 1 for the birational
 map.  With these conventions the PL map restricted to ideal indicator
 points (0 on the ideal, 1 off it) is exactly combinatorial rowmotion on
-ideals, and orders are well defined.
+ideals, and orders are well defined.  Each map toggles every element
+once, top of a linear extension first; an explicit extension is checked
+(``ValueError`` if it is not one) and ``None`` means the default one.
 
 Scalar arithmetic is exact: `Fraction` values, or integers mod a prime
 for the fast screening path.  Iterating the birational map over the
@@ -19,10 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import RetriesExhaustedError, ZeroInFieldError
-from .poset import Poset, linear_extension
+from .poset import Poset, _extension
 from .rowmotion import _ideal_mask
 
 __all__ = [
@@ -99,36 +101,32 @@ def _check_polytope(poset: Poset, vals: Sequence[Fraction]) -> None:
             raise ValueError(f"not order-preserving: f({a}) > f({b})")
 
 
-def _pl_toggled(poset: Poset, vals: list, x: int):
-    lo = poset.lower_covers[x]
-    up = poset.upper_covers[x]
-    big = max(vals[y] for y in lo) if lo else ZERO
-    small = min(vals[z] for z in up) if up else ONE
-    return big + small - vals[x]
+def _pl_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
+    """Check that f lies in the order polytope, then toggle along ``order``."""
+    _require_rational(f)
+    vals = list(f.values)
+    _check_polytope(poset, vals)
+    for x in order:
+        lo = poset.lower_covers[x]
+        up = poset.upper_covers[x]
+        big = max(vals[y] for y in lo) if lo else ZERO
+        small = min(vals[z] for z in up) if up else ONE
+        vals[x] = big + small - vals[x]
+    return LabeledPoint(poset, tuple(vals))
 
 
 def pl_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
     """Reflect f(x) inside the interval its neighbors allow."""
-    _require_rational(f)
     if not 0 <= x < poset.n:
         raise ValueError(f"unknown node id {x}")
-    vals = list(f.values)
-    _check_polytope(poset, vals)
-    vals[x] = _pl_toggled(poset, vals, x)
-    return LabeledPoint(poset, tuple(vals))
+    return _pl_sweep(poset, f, (x,))
 
 
 def pl_rowmotion(
     poset: Poset, f: LabeledPoint, extension: Optional[Sequence[int]] = None
 ) -> LabeledPoint:
     """Toggle every element once, top of a linear extension first."""
-    _require_rational(f)
-    ext = linear_extension(poset) if extension is None else tuple(extension)
-    vals = list(f.values)
-    _check_polytope(poset, vals)
-    for x in reversed(ext):
-        vals[x] = _pl_toggled(poset, vals, x)
-    return LabeledPoint(poset, tuple(vals))
+    return _pl_sweep(poset, f, reversed(_extension(poset, extension)))
 
 
 def indicator_point(poset: Poset, ideal) -> LabeledPoint:
@@ -147,7 +145,7 @@ def ideal_of_indicator(f: LabeledPoint) -> frozenset[int]:
     return frozenset(members)
 
 
-def _bi_toggled_rational(poset: Poset, vals: list, x: int) -> Fraction:
+def _bi_toggled_rational(poset: Poset, vals: list, x: int, p: None) -> Fraction:
     lo = poset.lower_covers[x]
     up = poset.upper_covers[x]
     num = sum(vals[y] for y in lo) if lo else ONE
@@ -165,20 +163,12 @@ def _bi_toggled_modp(poset: Poset, vals: list, x: int, p: int) -> int:
     lo = poset.lower_covers[x]
     up = poset.upper_covers[x]
     num = sum(vals[y] for y in lo) % p if lo else 1
-    # sum of reciprocals as one fraction: only a single inverse per toggle
-    prod = 1
+    # reciprocal sum as one fraction snum/prod: one inverse per toggle
+    snum, prod = (0, 1) if up else (1, 1)
     for z in up:
-        prod = prod * vals[z] % p
-    if up:
-        snum = 0
-        for z in up:
-            term = 1
-            for w in up:
-                if w != z:
-                    term = term * vals[w] % p
-            snum = (snum + term) % p
-    else:
-        snum = 1
+        v = vals[z]
+        snum = (snum * v + prod) % p
+        prod = prod * v % p
     den = vals[x] * snum % p
     if den == 0:
         raise ZeroInFieldError(f"reciprocal sum vanishes toggling {x} (mod {p})")
@@ -188,37 +178,29 @@ def _bi_toggled_modp(poset: Poset, vals: list, x: int, p: int) -> int:
     return out
 
 
-def _check_nonzero(f: LabeledPoint) -> None:
+def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
+    """Check that f is nonzero everywhere, then toggle along ``order``."""
     if any(v == 0 for v in f.values):
         raise ZeroInFieldError("birational points must be nonzero everywhere")
+    toggled = _bi_toggled_rational if f.mode == "rational" else _bi_toggled_modp
+    vals = list(f.values)
+    for x in order:
+        vals[x] = toggled(poset, vals, x, f.p)
+    return LabeledPoint(poset, tuple(vals), f.mode, f.p)
 
 
 def birational_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
     """g(x) = (sum of lower covers) / (f(x) * sum of upper reciprocals)."""
     if not 0 <= x < poset.n:
         raise ValueError(f"unknown node id {x}")
-    _check_nonzero(f)
-    vals = list(f.values)
-    if f.mode == "rational":
-        vals[x] = _bi_toggled_rational(poset, vals, x)
-    else:
-        vals[x] = _bi_toggled_modp(poset, vals, x, f.p)
-    return LabeledPoint(poset, tuple(vals), f.mode, f.p)
+    return _bi_sweep(poset, f, (x,))
 
 
 def birational_rowmotion(
     poset: Poset, f: LabeledPoint, extension: Optional[Sequence[int]] = None
 ) -> LabeledPoint:
-    ext = linear_extension(poset) if extension is None else tuple(extension)
-    _check_nonzero(f)
-    vals = list(f.values)
-    if f.mode == "rational":
-        for x in reversed(ext):
-            vals[x] = _bi_toggled_rational(poset, vals, x)
-    else:
-        for x in reversed(ext):
-            vals[x] = _bi_toggled_modp(poset, vals, x, f.p)
-    return LabeledPoint(poset, tuple(vals), f.mode, f.p)
+    """Toggle every element once, top of a linear extension first."""
+    return _bi_sweep(poset, f, reversed(_extension(poset, extension)))
 
 
 def random_pl_point(poset: Poset, rng: random.Random) -> LabeledPoint:
@@ -293,19 +275,20 @@ def order_search(
     if kind not in ("pl", "birational"):
         raise ValueError(f"unknown rowmotion kind {kind!r}")
     step: Callable[[LabeledPoint], LabeledPoint]
+    order = _extension(poset, None)[::-1]
     if kind == "pl":
         if f0 is not None:
             _require_rational(f0)
         if p is not None:
             raise ValueError("piecewise-linear search runs over the rationals")
-        step = lambda g: pl_rowmotion(poset, g)
+        step = lambda g: _pl_sweep(poset, g, order)
         make = random_pl_point
     else:
         if f0 is not None and f0.mode == "modp":
             if p is not None and p != f0.p:
                 raise ValueError("start point and search disagree on the modulus")
             p = f0.p
-        step = lambda g: birational_rowmotion(poset, g)
+        step = lambda g: _bi_sweep(poset, g, order)
         make = lambda ps, r: random_birational_point(ps, r, p)
     if f0 is None:
         if rng is None:

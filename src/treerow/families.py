@@ -150,6 +150,13 @@ def _ints(text: str) -> tuple[int, ...]:
         raise SpecParseError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _int(text: str) -> int:
+    vals = _ints(text)
+    if len(vals) != 1:
+        raise SpecParseError(f"expected one integer, got {text!r}")
+    return vals[0]
+
+
 def parse_family(text: str) -> FamilyDescriptor:
     """`star:3,3,2`, `estar:b=2;3,3,2`, `threeleaf:2,2,1,1,1`, `tk:3`,
     `comb:4`, `ecomb:n=3,k=2`, `zipper:2`, `cbt:3`."""
@@ -162,25 +169,26 @@ def parse_family(text: str) -> FamilyDescriptor:
         m_b, sep2, m_alphas = rest.partition(";")
         if not sep2 or not m_b.startswith("b="):
             raise SpecParseError(f"extended star wants b=B;alphas, got {rest!r}")
-        return ExtendedStar(_ints(m_b[2:])[0], _ints(m_alphas))
+        return ExtendedStar(_int(m_b[2:]), _ints(m_alphas))
     if name == "threeleaf":
         params = _ints(rest)
         if len(params) != 5:
             raise SpecParseError("threeleaf takes exactly five branch sizes")
         return ThreeLeaf(*params)
     if name == "tk":
-        return Tk(_ints(rest)[0])
+        return Tk(_int(rest))
     if name == "comb":
-        return Comb(_ints(rest)[0])
+        return Comb(_int(rest))
     if name == "ecomb":
-        pairs = dict(p.split("=", 1) for p in rest.split(",") if "=" in p)
-        if set(pairs) != {"n", "k"}:
+        parts = rest.split(",")
+        pairs = dict(p.split("=", 1) for p in parts if "=" in p)
+        if len(parts) != 2 or set(pairs) != {"n", "k"}:
             raise SpecParseError(f"ecomb wants n=N,k=K, got {rest!r}")
-        return ExtendedComb(_ints(pairs["n"])[0], _ints(pairs["k"])[0])
+        return ExtendedComb(_int(pairs["n"]), _int(pairs["k"]))
     if name == "zipper":
-        return Zipper(_ints(rest)[0])
+        return Zipper(_int(rest))
     if name == "cbt":
-        return CompleteBinary(_ints(rest)[0])
+        return CompleteBinary(_int(rest))
     raise SpecParseError(f"unknown family {name!r}")
 
 

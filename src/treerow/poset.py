@@ -393,3 +393,17 @@ def linear_extension(poset: Poset) -> tuple[int, ...]:
             if indeg[y] == 0:
                 heapq.heappush(heap, y)
     return tuple(out)
+
+
+def _extension(poset: Poset, extension: Optional[Sequence[int]]) -> tuple[int, ...]:
+    """The linear extension ``extension``, checked; ``None`` gives the default."""
+    if extension is None:
+        return linear_extension(poset)
+    ext = tuple(extension)
+    if sorted(ext) != list(range(poset.n)):
+        raise ValueError("extension is not a permutation of the elements")
+    pos = {x: i for i, x in enumerate(ext)}
+    for a, b in poset.covers:
+        if pos[a] > pos[b]:
+            raise ValueError(f"not a linear extension: {a} < {b} but listed after")
+    return ext

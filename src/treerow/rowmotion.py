@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .poset import Poset, RootedTree, _bits
+from .poset import Poset, RootedTree, _bits, _extension
 
 __all__ = [
     "Orbit",
@@ -106,18 +106,23 @@ def rho_ideal(tree: Poset, ideal: Iterable[int]) -> frozenset[int]:
     return frozenset(_bits(downm))
 
 
+def _toggle_sweep(poset: Poset, lmask: int, order: Iterable[int]) -> frozenset[int]:
+    """Toggle the ideal ``lmask`` at each element of ``order`` in turn."""
+    for x in order:
+        if lmask >> x & 1:
+            if not any(lmask >> z & 1 for z in poset.upper_covers[x]):
+                lmask ^= 1 << x
+        elif all(lmask >> y & 1 for y in poset.lower_covers[x]):
+            lmask ^= 1 << x
+    return frozenset(_bits(lmask))
+
+
 def toggle(poset: Poset, ideal: Iterable[int], x: int) -> frozenset[int]:
     """Flip membership of ``x`` if the result is an ideal, else no-op."""
     lmask = _ideal_mask(poset, ideal)
     if not 0 <= x < poset.n:
         raise ValueError(f"unknown node id {x}")
-    if lmask >> x & 1:
-        if not any(lmask >> z & 1 for z in poset.upper_covers[x]):
-            lmask ^= 1 << x
-    else:
-        if all(lmask >> y & 1 for y in poset.lower_covers[x]):
-            lmask ^= 1 << x
-    return frozenset(_bits(lmask))
+    return _toggle_sweep(poset, lmask, (x,))
 
 
 def rho_via_toggles(
@@ -125,25 +130,13 @@ def rho_via_toggles(
 ) -> frozenset[int]:
     """Toggle along a linear extension, top element first.
 
+    An explicit ``extension`` is checked (``ValueError`` if it is not a
+    linear extension); ``None`` means the default :func:`linear_extension`.
     Equals :func:`rho_ideal` on rooted trees and is independent of the
     extension chosen.
     """
-    ext = tuple(extension)
-    if sorted(ext) != list(range(poset.n)):
-        raise ValueError("extension is not a permutation of the elements")
-    pos = {x: i for i, x in enumerate(ext)}
-    for a, b in poset.covers:
-        if pos[a] > pos[b]:
-            raise ValueError(f"not a linear extension: {a} < {b} but listed after")
-    lmask = _ideal_mask(poset, ideal)
-    for x in reversed(ext):
-        if lmask >> x & 1:
-            if not any(lmask >> z & 1 for z in poset.upper_covers[x]):
-                lmask ^= 1 << x
-        else:
-            if all(lmask >> y & 1 for y in poset.lower_covers[x]):
-                lmask ^= 1 << x
-    return frozenset(_bits(lmask))
+    ext = _extension(poset, extension)
+    return _toggle_sweep(poset, _ideal_mask(poset, ideal), reversed(ext))
 
 
 @dataclass(frozen=True)
@@ -209,14 +202,20 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     if total > budget:
         raise BudgetExceededError(total, budget)
     # Antichains of the subtree at x: either {x}, or a union of one
-    # (possibly empty) antichain per child subtree.
+    # (possibly empty) antichain per child subtree.  A node with one child
+    # takes the child's list over instead of copying it.
     memo: list[list[int]] = [[] for _ in range(tree.n)]
     for x in range(tree.n - 1, -1, -1):
-        acc = [0]
-        for c in tree.children[x]:
-            acc = [m | cm for m in acc for cm in memo[c]]
-        memo[x] = [1 << x] + acc
-        for c in tree.children[x]:
+        kids = tree.children[x]
+        if len(kids) == 1:
+            acc = memo[kids[0]]
+        else:
+            acc = [0]
+            for c in kids:
+                acc = [m | cm for m in acc for cm in memo[c]]
+        acc.append(1 << x)
+        memo[x] = acc
+        for c in kids:
             memo[c] = []  # free child lists as they are absorbed
     return memo[0]
 

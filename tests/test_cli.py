@@ -118,6 +118,7 @@ class TestExitCodes:
         ["homomesy", "--tree", "(())", "--stat", "chi", "--format", "csv"],
         ["verify", "--tree", "(())"],
         ["verify", "--family", "cbt:0"],
+        ["verify", "--family", "tk:3,9"],
         ["birational", "--grid", "2y3"],
         ["birational", "--grid", "2x2", "--mode", "modp:9"],
         ["birational", "--grid", "2x2", "--mode", "float"],

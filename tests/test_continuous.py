@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import treerow.continuous
+import treerow.poset
 from treerow import (
     LabeledPoint,
     Poset,
@@ -14,6 +16,7 @@ from treerow import (
     chain_product,
     ideal_of_indicator,
     indicator_point,
+    linear_extension,
     order_search,
     parse_tree,
     pl_rowmotion,
@@ -145,6 +148,52 @@ class TestBirational:
         f = LabeledPoint(CHERRY, (1, 2, 3), "modp", 5)
         with pytest.raises(ZeroInFieldError):
             birational_toggle(CHERRY, f, 0)
+
+
+class TestExtensions:
+    def starts(self, poset, rng):
+        g = random_birational_point(poset, rng)
+        return zip(
+            (pl_rowmotion, birational_rowmotion, birational_rowmotion),
+            (random_pl_point(poset, rng), g, to_modp(g, 10007)),
+        )
+
+    def test_every_linear_extension_gives_the_same_point(self):
+        rng = random.Random(31)
+        for poset in small_posets(4):
+            rel = oracles.relations_from_covers(poset.n, poset.covers)
+            exts = oracles.linear_extensions(poset.n, rel)
+            images = []
+            for lift, f in self.starts(poset, rng):
+                want = lift(poset, f)
+                images.append(want)
+                for ext in exts:
+                    assert lift(poset, f, ext) == want, (poset, ext)
+            assert to_modp(images[1], 10007) == images[2]
+
+    def test_extension_validation(self):
+        grid = chain_product(2, 2)
+        backwards = tuple(reversed(linear_extension(grid)))
+        for lift, f in self.starts(grid, random.Random(4)):
+            for bad in (backwards, [0], [0, 0, 1, 2]):
+                with pytest.raises(ValueError):
+                    lift(grid, f, bad)
+
+    def test_order_search_resolves_the_extension_once(self, monkeypatch):
+        calls = []
+        real = treerow.poset.linear_extension
+        for module in (treerow.poset, treerow.continuous):
+            monkeypatch.setattr(
+                module, "linear_extension", lambda ps: calls.append(ps) or real(ps),
+                raising=False,
+            )
+        f = LabeledPoint(CHERRY, (1, 2, 3), "modp", 5)
+        result = order_search(CHERRY, f, rng=random.Random(8))
+        assert result.restarts >= 1 and result.iterations_used > 1
+        assert calls == [CHERRY]
+        calls.clear()
+        result = order_search(chain_product(2, 3), rng=random.Random(0), kind="pl")
+        assert result.iterations_used == 5 and len(calls) == 1
 
 
 class TestOrderSearch:

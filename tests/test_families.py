@@ -58,6 +58,12 @@ class TestDescriptors:
             "threeleaf:1,2,3",
             "ecomb:n=3",
             "ecomb:3,2",
+            "ecomb:n=3,k=2,x",
+            "tk:3,9",
+            "estar:b=2,7;3,3",
+            "comb:4,5",
+            "zipper:2,3",
+            "cbt:3,1",
             "spider:3",
         ):
             with pytest.raises(SpecParseError):
