@@ -4,7 +4,8 @@ All structured output is JSON (dicts in fixed insertion order, two-space
 indent) or CSV with plain "\n" line ends, so identical invocations are
 byte-identical; wall-clock timing is only emitted under --timing.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage error, 3 budget or
-arithmetic failure.
+arithmetic failure, 4 internal error (any other exception; the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -46,6 +48,7 @@ __all__ = ["main"]
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _is_prime(n: int) -> bool:
@@ -402,6 +405,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (BudgetExceededError, ZeroInFieldError, RetriesExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL_ERROR
     sys.stdout.write(out)
     return code
 

@@ -4,9 +4,11 @@ Each family constructor produces a rooted tree; for most of them the
 whole orbit table (sizes, multiplicities, chi and hatchi sums per class)
 is known in closed form and `predicted_profile` returns it without any
 enumeration.  `verify_family` then diffs the prediction against brute
-force.  `combine_profiles` implements the two-subtree composition that
-underlies several of the closed forms; `extend_root_transfer` widens the
-root branch of an already-profiled tree.
+force.  `combine_profiles` and `extend_root_transfer` are the two steps of
+one profile engine: the disjoint union of two trees (orbit sizes pair by
+gcd and lcm) and a chain put below a forest (only the orbit through the
+empty antichain grows).  `observed_profile` stays brute-force enumeration,
+the oracle that the closed forms and both steps are checked against.
 
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
@@ -15,7 +17,7 @@ and hatchi sums, and the predictor refuses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Union
@@ -23,7 +25,7 @@ from typing import Optional, Union
 from .errors import SpecParseError, UnsupportedFamilyError
 from .poset import RootedTree, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, all_orbits
-from .stats import Statistic, check_homometry, orbit_sum
+from .stats import Statistic, orbit_sum
 
 __all__ = [
     "Star",
@@ -457,95 +459,82 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
     )
 
 
-def combine_profiles(
-    left: OrbitProfile, right: OrbitProfile, b: int
-) -> OrbitProfile:
-    """Orbit table of the tree whose root branch (b nodes) splits into two
-    subtrees with the given tables.
+def _labeled(table: dict[tuple[int, int, int, int], int]) -> tuple[OrbitClass, ...]:
+    """Classes of a (size, delta, chi, hatchi) -> count table: the delta
+    class first, then by key, labelled O1, O2, ..."""
+    return tuple(
+        OrbitClass(f"O{idx}", size, count, chi, hatchi, delta)
+        for idx, ((size, delta, chi, hatchi), count) in enumerate(
+            sorted(table.items(), key=lambda kv: (-kv[0][1], kv[0])), start=1
+        )
+    )
 
-    A left orbit of size c' paired with a right orbit of size c'' yields
-    gcd(c', c'') orbits of size lcm(c', c''); the pairing of the two
-    empty-antichain orbits instead produces one orbit widened by the root
-    tile (size + b) and gcd - 1 plain ones.  chi/hatchi scale with the
-    number of repetitions and pick up the root-branch contribution.
-    """
-    if b < 1:
-        raise ValueError("root branch size must be >= 1")
-    left.delta_class()
-    right.delta_class()
-    merged: dict[tuple[int, int, int, int], int] = {}
 
-    def add(size: int, delta: int, chi: int, hatchi: int, count: int) -> None:
-        key = (size, delta, chi, hatchi)
-        merged[key] = merged.get(key, 0) + count
-
-    for cl in left.classes:
-        for cr in right.classes:
+def _union(left, right) -> tuple[OrbitClass, ...]:
+    """Orbit classes of the disjoint union of two trees.  Rowmotion acts
+    componentwise: orbits of sizes c' and c'' pair into gcd(c', c'') orbits
+    of size lcm(c', c''), each side's sums repeated lcm/c times, and one
+    of those from the two delta classes holds the empty antichain."""
+    table: dict[tuple[int, int, int, int], int] = {}
+    for cl in left:
+        for cr in right:
             l = lcm(cl.size, cr.size)
             g = gcd(cl.size, cr.size)
             ql, qr = l // cl.size, l // cr.size
             chi = ql * cl.chi + qr * cr.chi
-            hatchi = l * b + ql * cl.hatchi + qr * cr.hatchi
-            pairs = cl.count * cr.count
+            hatchi = ql * cl.hatchi + qr * cr.hatchi
             if cl.delta and cr.delta:
-                add(l + b, 1, b + chi, hatchi + comb(b, 2), 1)
-                if g > 1:
-                    add(l, 0, chi, hatchi, g - 1)
+                table[(l, 1, chi, hatchi)] = 1
+                plain = g - 1
             else:
-                add(l, 0, chi, hatchi, pairs * g)
-    classes = tuple(
-        OrbitClass(f"O{idx}", size, count, chi, hatchi, delta)
-        for idx, ((size, delta, chi, hatchi), count) in enumerate(
-            sorted(merged.items(), key=lambda kv: (-kv[0][1], kv[0])), start=1
+                plain = cl.count * cr.count * g
+            if plain:
+                key = (l, 0, chi, hatchi)
+                table[key] = table.get(key, 0) + plain
+    return _labeled(table)
+
+
+def _add_root(classes, k: int) -> tuple[OrbitClass, ...]:
+    """Orbit classes after putting a k-node chain below the forest.
+
+    Only the orbit through the empty antichain changes size: it gains the
+    k chain singletons, with ideals of 1..k nodes.  Every nonempty ideal
+    of the forest gains the whole chain.
+    """
+    return tuple(
+        replace(
+            c,
+            size=c.size + k * c.delta,
+            chi=c.chi + k * c.delta,
+            hatchi=c.hatchi + k * c.size + c.delta * comb(k, 2),
         )
+        for c in classes
     )
-    return OrbitProfile(classes, {"b": b})
+
+
+def combine_profiles(left: OrbitProfile, right: OrbitProfile, b: int) -> OrbitProfile:
+    """Orbit table of the tree whose root branch (b nodes) splits into two
+    subtrees with the given tables: their disjoint union under a b-chain."""
+    if b < 1:
+        raise ValueError("root branch size must be >= 1")
+    left.delta_class()
+    right.delta_class()
+    return OrbitProfile(_add_root(_union(left.classes, right.classes), b), {"b": b})
 
 
 def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile:
-    """Widen the root branch by delta_beta nodes.
-
-    Only the empty-antichain orbit changes size (its root tile gains
-    delta_beta columns); every orbit's hatchi picks up the extra root
-    branch members lying under each ideal.
-    """
+    """Widen the root branch by delta_beta nodes: the same root step as in
+    `combine_profiles`, applied to a whole tree."""
     if delta_beta < 0:
         raise ValueError("cannot shrink the root branch")
     if "b" not in profile.params:
         raise ValueError("profile does not carry its root branch size")
     if delta_beta == 0:
         return profile
-    b = profile.params["b"]
-    zero = profile.delta_class()
-    classes = []
-    for c in profile.classes:
-        if c.delta:
-            classes.append(
-                OrbitClass(
-                    c.label,
-                    c.size + delta_beta,
-                    c.count,
-                    c.chi + delta_beta,
-                    c.hatchi
-                    + comb(b + delta_beta + 1, 2)
-                    - comb(b + 1, 2)
-                    + delta_beta * (zero.size - b - 1),
-                    delta=1,
-                )
-            )
-        else:
-            classes.append(
-                OrbitClass(
-                    c.label,
-                    c.size,
-                    c.count,
-                    c.chi,
-                    c.hatchi + delta_beta * c.size,
-                )
-            )
+    profile.delta_class()
     params = dict(profile.params)
-    params["b"] = b + delta_beta
-    return OrbitProfile(tuple(classes), params)
+    params["b"] += delta_beta
+    return OrbitProfile(_add_root(profile.classes, delta_beta), params)
 
 
 def observed_profile(
@@ -554,7 +543,7 @@ def observed_profile(
     """Brute-force orbit table: enumerate, sum, group."""
     chi = Statistic.chi()
     hatchi = Statistic.hatchi()
-    merged: dict[tuple[int, int, int, int], int] = {}
+    table: dict[tuple[int, int, int, int], int] = {}
     for orbit in all_orbits(tree, budget=budget):
         key = (
             orbit.size,
@@ -562,14 +551,8 @@ def observed_profile(
             orbit_sum(tree, chi, orbit),
             orbit_sum(tree, hatchi, orbit),
         )
-        merged[key] = merged.get(key, 0) + 1
-    classes = tuple(
-        OrbitClass(f"O{idx}", size, count, chi_s, hatchi_s, delta)
-        for idx, ((size, delta, chi_s, hatchi_s), count) in enumerate(
-            sorted(merged.items(), key=lambda kv: (-kv[0][1], kv[0])), start=1
-        )
-    )
-    return OrbitProfile(classes)
+        table[key] = table.get(key, 0) + 1
+    return OrbitProfile(_labeled(table))
 
 
 def _normalize(profile: OrbitProfile) -> dict[tuple[int, int, int, int], int]:
@@ -615,11 +598,14 @@ def verify_family(
     """
     name = descriptor_string(desc)
     tree = make_family(desc)
+    observed = observed_profile(tree, budget=budget)
     if isinstance(desc, CompleteBinary):
-        chi_v = check_homometry(tree, Statistic.chi(), budget=budget)
-        hatchi_v = check_homometry(tree, Statistic.hatchi(), budget=budget)
-        confirmed = not chi_v.is_homometric and not hatchi_v.is_homometric
-        observed = observed_profile(tree, budget=budget)
+        # a statistic is homometric iff each orbit size carries one sum
+        sizes = len({c.size for c in observed.classes})
+        confirmed = all(
+            len({(c.size, getattr(c, stat)) for c in observed.classes}) > sizes
+            for stat in ("chi", "hatchi")
+        )
         return FamilyReport(
             name,
             ok=confirmed if desc.depth == 3 else True,
@@ -631,13 +617,13 @@ def verify_family(
                 + ("confirmed" if confirmed else "NOT confirmed")
             ),
         )
-    predicted = _normalize(predicted_profile(desc))
-    observed = _normalize(observed_profile(tree, budget=budget))
+    predicted = predicted_profile(desc)
+    want, got = _normalize(predicted), _normalize(observed)
     diffs = tuple(
-        ClassDiff(*key, predicted.get(key, 0), observed.get(key, 0))
-        for key in sorted(set(predicted) | set(observed), key=lambda k: (-k[1], k))
+        ClassDiff(*key, want.get(key, 0), got.get(key, 0))
+        for key in sorted(set(want) | set(got), key=lambda k: (-k[1], k))
     )
-    predicted_total = sum(k[0] * v for k, v in predicted.items())
+    predicted_total = predicted.total_antichains
     observed_total = tree.count_antichains()
     ok = all(d.ok for d in diffs) and predicted_total == observed_total
     return FamilyReport(name, ok, diffs, predicted_total, observed_total)

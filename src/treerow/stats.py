@@ -28,7 +28,7 @@ from math import comb
 from typing import Optional
 
 from .errors import SpecParseError
-from .poset import RootedTree, _bits, down_set
+from .poset import RootedTree, _bits
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
@@ -144,21 +144,16 @@ def parse_statistic(text: str) -> Statistic:
     return Statistic(tuple(terms))
 
 
-def eval_statistic(tree: RootedTree, stat: Statistic, members) -> int:
-    """Evaluate on an antichain (or an ideal, for all-hatted statistics)."""
-    if stat.domain == "ideal":
-        lmask = _ideal_mask(tree, members)
-        amask = None
-    else:
-        amask = _antichain_mask(tree, members)
-        lmask = None
+def _evaluate(tree: RootedTree, stat: Statistic, amask, lmask) -> int:
+    """The term loop, on a checked antichain mask or, for all-hatted
+    statistics, a checked ideal mask (hatted atoms read down(antichain))."""
     total = 0
     for coeff, atom, node in stat.terms:
+        if node is not None and not 0 <= node < tree.n:
+            raise ValueError(f"unknown node id {node}")
         if atom == "chi":
             total += coeff * amask.bit_count()
         elif atom == "chi_x":
-            if not 0 <= node < tree.n:
-                raise ValueError(f"unknown node id {node}")
             total += coeff * (amask >> node & 1)
         else:
             if lmask is None:
@@ -168,19 +163,23 @@ def eval_statistic(tree: RootedTree, stat: Statistic, members) -> int:
             if atom == "hatchi":
                 total += coeff * lmask.bit_count()
             else:
-                if not 0 <= node < tree.n:
-                    raise ValueError(f"unknown node id {node}")
                 total += coeff * (lmask >> node & 1)
     return total
 
 
+def eval_statistic(tree: RootedTree, stat: Statistic, members) -> int:
+    """Evaluate on an antichain (or an ideal, for all-hatted statistics)."""
+    if stat.domain == "ideal":
+        return _evaluate(tree, stat, None, _ideal_mask(tree, members))
+    return _evaluate(tree, stat, _antichain_mask(tree, members), None)
+
+
 def orbit_sum(tree: RootedTree, stat: Statistic, orbit: Orbit) -> int:
     """Sum the statistic over the orbit (ideals read through A -> down(A))."""
-    if stat.domain == "ideal":
-        return sum(
-            eval_statistic(tree, stat, down_set(tree, a)) for a in orbit.antichains
-        )
-    return sum(eval_statistic(tree, stat, a) for a in orbit.antichains)
+    return sum(
+        _evaluate(tree, stat, _antichain_mask(tree, a), None)
+        for a in orbit.antichains
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from golden_cases import CASES
+from treerow import cli
 from treerow.cli import main
 from treerow.families import FamilyReport
 
@@ -137,6 +138,16 @@ class TestExitCodes:
         code, out, err = run(["orbits", "--family", "comb:4", "--budget", "5"])
         assert code == 3
         assert "budget" in err
+
+    def test_internal_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken enumeration")
+
+        monkeypatch.setattr(cli, "all_orbits", broken)
+        code, out, err = run(["orbits", "--tree", "(())"])
+        assert code == 4
+        assert out == "" and err.startswith("internal error:")
+        assert "Traceback" in err and "broken enumeration" in err
 
     def test_grid_rejected_for_tree_verbs(self, capsys):
         # tree-only verbs do not even accept --grid; argparse exits itself

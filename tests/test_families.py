@@ -2,7 +2,9 @@
 
 import pytest
 
+import oracles
 from treerow import (
+    RootedTree,
     chain,
     combine_profiles,
     descriptor_string,
@@ -16,12 +18,21 @@ from treerow import (
     predicted_profile,
     verify_family,
 )
+from treerow import rowmotion
 from treerow.errors import (
     BudgetExceededError,
     SpecParseError,
     UnsupportedFamilyError,
 )
 from treerow.families import OrbitClass, OrbitProfile
+
+
+def _root_branch(tree):
+    """Nodes from the root down to the first one without exactly one child."""
+    x = 0
+    while len(tree.children[x]) == 1:
+        x = tree.children[x][0]
+    return x + 1
 
 
 def as_multiset(profile):
@@ -224,15 +235,40 @@ class TestProfileAlgebra:
             extend_root_transfer(bare, 1)
 
     def test_combine_matches_brute_force(self):
-        shapes = [parse_tree(s) for s in ("()", "(())", "(()())", "((())(()))")]
-        for left in shapes:
-            for right in shapes:
-                for b in (1, 2):
-                    combined = combine_profiles(
-                        observed_profile(left), observed_profile(right), b
-                    )
-                    direct = observed_profile(graft(left, right, b))
-                    assert as_multiset(combined) == as_multiset(direct)
+        """Both steps against enumeration: every pair of plane trees under
+        a root branch of b nodes, |L| + |R| + b <= 9."""
+        trees = {
+            n: [RootedTree(p) for p in oracles.parent_vectors(n)] for n in range(1, 8)
+        }
+        observed = {t: observed_profile(t) for ts in trees.values() for t in ts}
+        cases = 0
+        for nl in range(1, 8):
+            for nr in range(1, 9 - nl):
+                for b in range(1, min(3, 9 - nl - nr) + 1):
+                    for left in trees[nl]:
+                        for right in trees[nr]:
+                            combined = combine_profiles(
+                                observed[left], observed[right], b
+                            )
+                            direct = observed_profile(graft(left, right, b))
+                            assert combined.classes == direct.classes
+                            assert combined.params == {"b": b}
+                            cases += 1
+        assert cases == 885
+
+    def test_extend_matches_brute_force(self):
+        """Widening the root branch of every plane tree with <= 7 nodes."""
+        for n in range(1, 8):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                profile = OrbitProfile(
+                    observed_profile(tree).classes, {"b": _root_branch(tree)}
+                )
+                for d in (1, 2):
+                    wide = parse_tree("(" * d + tree.to_spec() + ")" * d)
+                    extended = extend_root_transfer(profile, d)
+                    assert extended.classes == observed_profile(wide).classes
+                    assert extended.params == {"b": _root_branch(wide)}
 
     def test_combine_builds_zipper_table(self):
         for n in (1, 2):
@@ -282,6 +318,18 @@ class TestVerify:
         assert depth2.ok and "NOT confirmed" in depth2.note
         depth3 = verify_family(parse_family("cbt:3"))
         assert depth3.ok and depth3.note.endswith("homometry failure confirmed")
+
+    def test_complete_binary_enumerates_once(self, monkeypatch):
+        calls = []
+        masks = rowmotion._antichain_masks
+
+        def counted(tree, budget):
+            calls.append(tree.n)
+            return masks(tree, budget)
+
+        monkeypatch.setattr(rowmotion, "_antichain_masks", counted)
+        assert verify_family(parse_family("cbt:3")).ok
+        assert calls == [15]
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):

@@ -1,0 +1,38 @@
+"""Smoke tests for the scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSurveyFamilies:
+    def test_sweep_passes(self, capsys):
+        survey = load("survey_families")
+        assert survey.main(["--only", "tk,threeleaf"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert all(" ok " in line for line in lines)
+
+    def test_budget_skips(self, capsys):
+        survey = load("survey_families")
+        assert survey.main(["--only", "comb", "--budget", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "comb:1" in out and " ok " in out
+        assert "comb:6" in out and " SKIP " in out
+
+    def test_unknown_family(self, capsys):
+        survey = load("survey_families")
+        with pytest.raises(SystemExit) as exc:
+            survey.main(["--only", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown families: bogus" in capsys.readouterr().err

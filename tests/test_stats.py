@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from treerow import (
+    Orbit,
     RootedTree,
     Statistic,
     all_orbits,
@@ -244,3 +245,8 @@ class TestIdealStatisticsUseGeneratedIdeal:
             len(down_set(STAR_332, a)) for a in orbit.antichains
         )
         assert orbit_sum(STAR_332, Statistic.hatchi(), orbit) == total == 21
+        # orbit members are antichains whatever the statistic reads
+        not_antichain = Orbit((frozenset({0, 1}),))
+        for stat in (Statistic.chi(), Statistic.hatchi(), Statistic.hatchi_x(0)):
+            with pytest.raises(ValueError, match="not an antichain: 0 < 1"):
+                orbit_sum(STAR_332, stat, not_antichain)
