@@ -34,9 +34,10 @@ from .errors import (
     ZeroInFieldError,
 )
 from .families import descriptor_string, make_family, parse_family, verify_family
-from .poset import Poset, RootedTree, chain_product, parse_tree
+from .poset import Poset, RootedTree, _bits, chain_product, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, Orbit, all_orbits
 from .stats import (
+    _term_sums,
     check_homomesy,
     check_homometry,
     orbit_sum,
@@ -139,11 +140,9 @@ def _input_tree(args) -> tuple[RootedTree, str]:
     return poset, name
 
 
-def _orbit_record(orbit: Orbit, oid: int, members: bool = True) -> dict:
-    rec = {"id": oid, "size": orbit.size, "delta": orbit.delta}
-    if members:
-        rec["members"] = orbit.as_id_lists()
-    return rec
+def _orbit_record(orbit: Orbit, oid: int) -> dict:
+    members = orbit.as_id_lists()
+    return {"id": oid, "size": orbit.size, "delta": orbit.delta, "members": members}
 
 
 def _emit_json(obj) -> str:
@@ -177,7 +176,7 @@ def _run_orbits(args) -> tuple[str, int]:
     fmt = _format(args, "json", ("json", "csv"))
     if fmt == "csv":
         rows = [
-            (i, o.size, o.delta, " ".join(map(str, sorted(o.antichains[0]))))
+            (i, o.size, o.delta, " ".join(map(str, _bits(o.masks[0]))))
             for i, o in enumerate(orbits, start=1)
         ]
         return _emit_csv(("orbit", "size", "delta", "representative"), rows), 0
@@ -243,7 +242,7 @@ def _run_stats(args) -> tuple[str, int]:
     orbits = all_orbits(tree, budget=args.budget)
     rows = []
     for i, o in enumerate(orbits, start=1):
-        total = orbit_sum(tree, stat, o)
+        total = sum(_term_sums(tree, stat, o.masks))
         rows.append((i, o.size, o.delta, total, Fraction(total, o.size)))
     fmt = _format(args, "json", ("json", "csv"))
     if fmt == "csv":

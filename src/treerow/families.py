@@ -25,7 +25,7 @@ from typing import Optional, Union
 from .errors import SpecParseError, UnsupportedFamilyError
 from .poset import RootedTree, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, all_orbits
-from .stats import Statistic, orbit_sum
+from .stats import Statistic, _term_sums
 
 __all__ = [
     "Star",
@@ -541,16 +541,10 @@ def observed_profile(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> OrbitProfile:
     """Brute-force orbit table: enumerate, sum, group."""
-    chi = Statistic.chi()
-    hatchi = Statistic.hatchi()
+    chi_hatchi = Statistic.chi() + Statistic.hatchi()
     table: dict[tuple[int, int, int, int], int] = {}
     for orbit in all_orbits(tree, budget=budget):
-        key = (
-            orbit.size,
-            orbit.delta,
-            orbit_sum(tree, chi, orbit),
-            orbit_sum(tree, hatchi, orbit),
-        )
+        key = (orbit.size, orbit.delta, *_term_sums(tree, chi_hatchi, orbit.masks))
         table[key] = table.get(key, 0) + 1
     return OrbitProfile(_labeled(table))
 

@@ -42,6 +42,24 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _node_mask(members: Iterable[int], n: float) -> int:
+    """The mask of the node ids ``members``, each checked to be in ``0..n-1``."""
+    mask = 0
+    for x in members:
+        if not 0 <= x < n:
+            raise ValueError(f"unknown node id {x}")
+        mask |= 1 << x
+    return mask
+
+
+def _down_mask(poset: "Poset", mask: int) -> int:
+    """The ideal generated by the elements of ``mask``, as a mask."""
+    downm = 0
+    for x in _bits(mask):
+        downm |= poset.down[x]
+    return downm
+
+
 class Poset:
     """A finite poset given by its (irredundant) cover relations.
 
@@ -309,12 +327,8 @@ def intervals(tree: RootedTree) -> tuple[IntervalSpec, ...]:
 
 def down_set(poset: Poset, nodes: Iterable[int]) -> frozenset[int]:
     """All elements below (or in) ``nodes``: the ideal they generate."""
-    mask = 0
-    for x in nodes:
-        if not 0 <= x < poset.n:
-            raise ValueError(f"unknown node id {x}")
-        mask |= poset.down[x]
-    return frozenset(_bits(mask))
+    mask = _node_mask(nodes, poset.n)
+    return frozenset(_bits(_down_mask(poset, mask)))
 
 
 def count_antichains(tree: RootedTree) -> int:

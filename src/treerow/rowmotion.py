@@ -1,20 +1,21 @@
 """Rowmotion on antichains and ideals, toggles, and orbit enumeration.
 
-Antichains and ideals are plain ``frozenset`` node-id sets; validity is
-checked at the public entry points.  Rowmotion on antichains sends ``A``
-to the minimal elements of the complement of the ideal it generates; on
-ideals it is the conjugate map ``L -> down_set(rho(max L))``, which also
-equals the composition of toggles along any linear extension, applied
-top element first.
+Inside the library antichains, ideals and :class:`Orbit` members are node
+bitmasks; the public entry points check node-id sets and return frozensets.
+Rowmotion on antichains sends ``A`` to the minimal elements of the
+complement of the ideal it generates; on ideals it is the conjugate map
+``L -> down_set(rho(max L))``, which also equals the composition of
+toggles along any linear extension, applied top element first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .poset import Poset, RootedTree, _bits, _extension
+from .poset import Poset, RootedTree, _bits, _down_mask, _extension, _node_mask
 
 __all__ = [
     "Orbit",
@@ -32,11 +33,13 @@ DEFAULT_ANTICHAIN_BUDGET = 10**6
 
 
 def _antichain_mask(tree: Poset, members: Iterable[int]) -> int:
-    mask = 0
-    for x in members:
-        if not 0 <= x < tree.n:
-            raise ValueError(f"unknown node id {x}")
-        mask |= 1 << x
+    return _checked_antichain(tree, _node_mask(members, tree.n))
+
+
+def _checked_antichain(tree: Poset, mask: int) -> int:
+    """``mask``, once checked to be an antichain of ``tree``."""
+    if mask >> tree.n:
+        raise ValueError(f"unknown node id {mask.bit_length() - 1}")
     for x in _bits(mask):
         if tree.down[x] & mask != 1 << x:
             below = next(b for b in _bits(tree.down[x] & mask) if b != x)
@@ -45,11 +48,7 @@ def _antichain_mask(tree: Poset, members: Iterable[int]) -> int:
 
 
 def _ideal_mask(poset: Poset, members: Iterable[int]) -> int:
-    mask = 0
-    for x in members:
-        if not 0 <= x < poset.n:
-            raise ValueError(f"unknown node id {x}")
-        mask |= 1 << x
+    mask = _node_mask(members, poset.n)
     for x in _bits(mask):
         if poset.down[x] & mask != poset.down[x]:
             raise ValueError(f"not an ideal: {x} is in but part of its down-set is not")
@@ -75,10 +74,7 @@ def _rho_mask(tree: Poset, amask: int) -> int:
             downm |= down[x]
             amask ^= low
         return sidem & ~downm
-    downm = 0
-    for x in _bits(amask):
-        downm |= tree.down[x]
-    comp = tree.full_mask & ~downm
+    comp = tree.full_mask & ~_down_mask(tree, amask)
     out = 0
     for x in _bits(comp):
         if tree.down[x] & comp == 1 << x:
@@ -100,10 +96,7 @@ def rho_ideal(tree: Poset, ideal: Iterable[int]) -> frozenset[int]:
         if not any(lmask >> z & 1 for z in tree.upper_covers[x]):
             maxmask |= 1 << x
     new = _rho_mask(tree, maxmask)
-    downm = 0
-    for x in _bits(new):
-        downm |= tree.down[x]
-    return frozenset(_bits(downm))
+    return frozenset(_bits(_down_mask(tree, new)))
 
 
 def _toggle_sweep(poset: Poset, lmask: int, order: Iterable[int]) -> frozenset[int]:
@@ -139,62 +132,84 @@ def rho_via_toggles(
     return _toggle_sweep(poset, _ideal_mask(poset, ideal), reversed(ext))
 
 
-@dataclass(frozen=True)
+def _lex_key(mask: int) -> list[int]:
+    """Sort key of a mask: its id list (a generator-built tuple holds more memory)."""
+    return list(_bits(mask))
+
+
+def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle of masks rotated to start at its lex-smallest member."""
+    rep = cycle.index(min(cycle, key=_lex_key))
+    return cycle[rep:] + cycle[:rep]
+
+
+def _cycle(tree: Poset, start: int) -> tuple[int, ...]:
+    """The rowmotion cycle through the antichain mask ``start``, from it."""
+    cycle = [start]
+    while (cur := _rho_mask(tree, cycle[-1])) != start:
+        cycle.append(cur)
+    return tuple(cycle)
+
+
+@dataclass(frozen=True, init=False)
 class Orbit:
-    """A rowmotion orbit, rotated so the lex-smallest antichain is first.
+    """A rowmotion orbit of antichain bitmasks, with the lex-smallest first.
 
     ``contains_root`` is the delta flag: the orbit through the empty
     antichain also contains the root singleton (rowmotion sends one to
     the other), and no other orbit contains either.
     """
 
-    antichains: tuple[frozenset[int], ...]
-    contains_root: bool = field(init=False)
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(set(self.antichains)) != len(self.antichains):
+    def __init__(self, antichains: Iterable[Iterable[int]]):
+        masks = tuple([_node_mask(a, inf) for a in antichains])
+        if len(set(masks)) != len(masks):
             raise ValueError("orbit members are not distinct")
-        object.__setattr__(
-            self, "contains_root", any(not a for a in self.antichains)
-        )
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def from_cycle(cls, cycle: Sequence[frozenset[int]]) -> "Orbit":
-        seq = [frozenset(a) for a in cycle]
-        rep = min(range(len(seq)), key=lambda i: tuple(sorted(seq[i])))
-        return cls(tuple(seq[rep:] + seq[:rep]))
+    def _of(cls, masks: tuple[int, ...]) -> "Orbit":
+        """The orbit whose members are ``masks``, distinct, in that order."""
+        orbit = object.__new__(cls)
+        object.__setattr__(orbit, "masks", masks)
+        return orbit
+
+    @classmethod
+    def from_cycle(cls, cycle: Sequence[Iterable[int]]) -> "Orbit":
+        return cls._of(_canonical(cls(cycle).masks))
+
+    @property
+    def antichains(self) -> tuple[frozenset[int], ...]:
+        return tuple([frozenset(_bits(m)) for m in self.masks])
+
+    @property
+    def contains_root(self) -> bool:
+        return 0 in self.masks
 
     @property
     def size(self) -> int:
-        return len(self.antichains)
+        return len(self.masks)
 
     @property
     def delta(self) -> int:
         return int(self.contains_root)
 
     def as_id_lists(self) -> list[list[int]]:
-        return [sorted(a) for a in self.antichains]
+        return [list(_bits(m)) for m in self.masks]
 
 
 def orbit_of(tree: RootedTree, antichain: Iterable[int]) -> Orbit:
     """The rowmotion orbit through ``antichain`` (canonically rotated)."""
     start = _antichain_mask(tree, antichain)
-    cycle = [start]
-    cur = _rho_mask(tree, start)
-    while cur != start:
-        cycle.append(cur)
-        cur = _rho_mask(tree, cur)
-    return Orbit.from_cycle([frozenset(_bits(m)) for m in cycle])
+    return Orbit._of(_canonical(_cycle(tree, start)))
 
 
 def enumerate_antichains(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> list[frozenset[int]]:
     """All antichains of the tree, sorted by their sorted id tuple."""
-    masks = _antichain_masks(tree, budget)
-    out = [frozenset(_bits(m)) for m in masks]
-    out.sort(key=sorted)
-    return out
+    return [frozenset(_bits(m)) for m in _antichain_masks(tree, budget)]
 
 
 def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
@@ -217,6 +232,7 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
         memo[x] = acc
         for c in kids:
             memo[c] = []  # free child lists as they are absorbed
+    memo[0].sort(key=_lex_key)  # every caller wants lex order
     return memo[0]
 
 
@@ -224,24 +240,15 @@ def all_orbits(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> tuple[Orbit, ...]:
     """Partition all antichains into orbits, ordered by representative."""
-    masks = _antichain_masks(tree, budget)
-    order = sorted(range(len(masks)), key=lambda i: tuple(sorted(_bits(masks[i]))))
-    index = {m: i for i, m in enumerate(masks)}
-    seen = [False] * len(masks)
+    seen: set[int] = set()
     orbits: list[Orbit] = []
-    for i in order:
-        if seen[i]:
+    for start in _antichain_masks(tree, budget):
+        if start in seen:
             continue
         # Every earlier antichain lies in an earlier orbit, so this one is
         # already the lex-smallest member of its own: the cycle as traced
         # is canonically rotated.
-        start = masks[i]
-        cycle = [start]
-        seen[i] = True
-        cur = _rho_mask(tree, start)
-        while cur != start:
-            seen[index[cur]] = True
-            cycle.append(cur)
-            cur = _rho_mask(tree, cur)
-        orbits.append(Orbit(tuple([frozenset(_bits(m)) for m in cycle])))
+        cycle = _cycle(tree, start)
+        seen.update(cycle)
+        orbits.append(Orbit._of(cycle))
     return tuple(orbits)

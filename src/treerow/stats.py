@@ -25,14 +25,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import SpecParseError
-from .poset import RootedTree, _bits
+from .poset import RootedTree, _down_mask
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
     _antichain_mask,
+    _checked_antichain,
     _ideal_mask,
     all_orbits,
 )
@@ -144,42 +145,33 @@ def parse_statistic(text: str) -> Statistic:
     return Statistic(tuple(terms))
 
 
-def _evaluate(tree: RootedTree, stat: Statistic, amask, lmask) -> int:
-    """The term loop, on a checked antichain mask or, for all-hatted
-    statistics, a checked ideal mask (hatted atoms read down(antichain))."""
-    total = 0
+def _term_sums(tree: RootedTree, stat: Statistic, amasks, lmasks=None) -> Iterator[int]:
+    """Each term of ``stat`` with its coefficient, summed over unchecked antichain
+    masks; hatted atoms read their ideals ``lmasks``, worked out here if not given."""
     for coeff, atom, node in stat.terms:
         if node is not None and not 0 <= node < tree.n:
             raise ValueError(f"unknown node id {node}")
-        if atom == "chi":
-            total += coeff * amask.bit_count()
-        elif atom == "chi_x":
-            total += coeff * (amask >> node & 1)
+        if atom.startswith("hat") and lmasks is None:
+            lmasks = [_down_mask(tree, m) for m in amasks]
+        masks = lmasks if atom.startswith("hat") else amasks
+        if node is None:
+            yield coeff * sum(m.bit_count() for m in masks)
         else:
-            if lmask is None:
-                lmask = 0
-                for x in _bits(amask):
-                    lmask |= tree.down[x]
-            if atom == "hatchi":
-                total += coeff * lmask.bit_count()
-            else:
-                total += coeff * (lmask >> node & 1)
-    return total
+            yield coeff * sum(m >> node & 1 for m in masks)
 
 
 def eval_statistic(tree: RootedTree, stat: Statistic, members) -> int:
     """Evaluate on an antichain (or an ideal, for all-hatted statistics)."""
     if stat.domain == "ideal":
-        return _evaluate(tree, stat, None, _ideal_mask(tree, members))
-    return _evaluate(tree, stat, _antichain_mask(tree, members), None)
+        return sum(_term_sums(tree, stat, None, [_ideal_mask(tree, members)]))
+    return sum(_term_sums(tree, stat, [_antichain_mask(tree, members)]))
 
 
 def orbit_sum(tree: RootedTree, stat: Statistic, orbit: Orbit) -> int:
     """Sum the statistic over the orbit (ideals read through A -> down(A))."""
-    return sum(
-        _evaluate(tree, stat, _antichain_mask(tree, a), None)
-        for a in orbit.antichains
-    )
+    for m in orbit.masks:
+        _checked_antichain(tree, m)
+    return sum(_term_sums(tree, stat, orbit.masks))
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ def check_homomesy(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomomesyVerdict:
     orbits = all_orbits(tree, budget=budget)
-    averages = [Fraction(orbit_sum(tree, stat, o), o.size) for o in orbits]
+    averages = [Fraction(sum(_term_sums(tree, stat, o.masks)), o.size) for o in orbits]
     for o, avg in zip(orbits[1:], averages[1:]):
         if avg != averages[0]:
             return HomomesyVerdict(False, witness=(orbits[0], o))
@@ -239,7 +231,7 @@ def check_homometry(
     orbits = all_orbits(tree, budget=budget)
     by_size: dict[int, list[tuple[Orbit, int]]] = {}
     for o in orbits:
-        by_size.setdefault(o.size, []).append((o, orbit_sum(tree, stat, o)))
+        by_size.setdefault(o.size, []).append((o, sum(_term_sums(tree, stat, o.masks))))
     table: dict[int, int] = {}
     for size in sorted(by_size):
         (first, value) = by_size[size][0]

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from .poset import RootedTree, _bits, interval_partition
-from .rowmotion import Orbit, _rho_mask
+from .rowmotion import Orbit, _canonical, _rho_mask
 
 __all__ = [
     "Tile",
@@ -166,15 +166,9 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
     """
     c = orbit.size
     n = tree.n_leaves
-    size = tree.n
-    masks = []
-    for antichain in orbit.antichains:
-        m = 0
-        for x in antichain:
-            if not 0 <= x < size:
-                raise ValueError(f"orbit inconsistent with tree: unknown node {x}")
-            m |= 1 << x
-        masks.append(m)
+    top = max(orbit.masks, default=0).bit_length() - 1
+    if top >= tree.n:
+        raise ValueError(f"orbit inconsistent with tree: unknown node {top}")
     # Each branch must be walked bottom to top, one node per column: a
     # member with one child (id + 1, the next node of its branch) is
     # followed by that child, and a member whose parent has one child
@@ -183,7 +177,7 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
     one = tree.one_child_mask
     for t in range(c):
         nxt = (t + 1) % c
-        if (masks[t] & one) << 1 != masks[nxt] & one << 1:
+        if (orbit.masks[t] & one) << 1 != orbit.masks[nxt] & one << 1:
             raise ValueError(
                 "orbit inconsistent with tree: a branch is not walked whole "
                 f"across columns {t} and {nxt}"
@@ -191,7 +185,7 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
     cells: list[Optional[Tile]] = [None] * (n * c)
     bottoms = ~(one << 1)
     branch_of = tree.branch_of
-    for t, m in enumerate(masks):
+    for t, m in enumerate(orbit.masks):
         for x in _bits(m & bottoms):
             iv, beta = branch_of[x]  # the bottom is the beta-th deepest
             if beta > c:
@@ -394,7 +388,7 @@ def orbit_of_tiling(tree: RootedTree, tiling: Tiling) -> Orbit:
             )
     if len(set(masks)) != c:
         raise ValueError("invalid tiling: repeats a smaller orbit")
-    return Orbit.from_cycle([frozenset(_bits(m)) for m in masks])
+    return Orbit._of(_canonical(tuple(masks)))
 
 
 def _column_masks(tree: RootedTree, tiling: Tiling) -> list[int]:

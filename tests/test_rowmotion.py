@@ -199,6 +199,23 @@ class TestOrbits:
             assert reps == sorted(reps)
             assert reps[0] == ()
 
+    def test_orbit_views_agree(self):
+        """Every orbit of every plane tree with at most 8 nodes: rebuilt
+        from its antichains, from any rotation, or from any member, it is
+        the orbit all_orbits gave, and its two decoded views agree."""
+        for n in range(1, 9):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                for o in all_orbits(tree):
+                    members = o.antichains
+                    rebuilt = Orbit(members)
+                    assert rebuilt == o and hash(rebuilt) == hash(o)
+                    for i in range(o.size):
+                        rotated = members[i:] + members[:i]
+                        assert Orbit.from_cycle(rotated) == o
+                        assert orbit_of(tree, members[i]) == o
+                    assert o.as_id_lists() == [sorted(a) for a in members]
+
     def test_enumerate_antichains_sorted_and_complete(self):
         for parents, tree in TREES:
             rel = oracles.relations_from_parents(parents)

@@ -15,6 +15,17 @@ def load(name):
     return module
 
 
+class TestNongradedOrderSearch:
+    def test_one_tree_and_one_trial(self, capsys):
+        search = load("nongraded_order_search")
+        argv = ["--tree", "(()(()))", "--trials", "1", "--nodes", "5",
+                "--max-iter", "200"]
+        assert search.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "graded (leaf depth 2), skipped" in out
+        assert "finite order found on 0 tree(s)" in out
+
+
 class TestSurveyFamilies:
     def test_sweep_passes(self, capsys):
         survey = load("survey_families")

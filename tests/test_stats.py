@@ -15,6 +15,7 @@ from treerow import (
     down_set,
     eval_statistic,
     make_family,
+    observed_profile,
     orbit_sum,
     orbit_sums_from_tiling,
     parse_family,
@@ -22,6 +23,8 @@ from treerow import (
     parse_tree,
     tiling_of_orbit,
 )
+from treerow import rowmotion
+from treerow import stats as stats_module
 from treerow.errors import SpecParseError
 
 STAR_332 = parse_tree("((())(())())")
@@ -236,6 +239,33 @@ class TestHomometry:
         }
         expected = next(o for o in orbits if o.size == 4 and sums[o] != sums[first])
         assert second == expected
+
+
+class TestEnumeratedOrbitsAreSummedUnchecked:
+    def test_no_antichain_rebuilt(self, monkeypatch):
+        """Orbits fresh from all_orbits are summed from their masks: no
+        member goes back through an antichain check."""
+        calls = []
+
+        def counting(check):
+            def counted(*args):
+                calls.append(args)
+                return check(*args)
+
+            return counted
+
+        for name in ("_antichain_mask", "_checked_antichain"):
+            counted = counting(getattr(rowmotion, name))
+            monkeypatch.setattr(rowmotion, name, counted)
+            monkeypatch.setattr(stats_module, name, counted)
+        tree = make_family(parse_family("zipper:2"))
+        observed_profile(tree)
+        check_homometry(tree, Statistic.chi())
+        check_homomesy(tree, Statistic.hatchi())
+        assert calls == []
+        # the public orbit_sum does check every member
+        orbit_sum(tree, Statistic.chi(), all_orbits(tree)[0])
+        assert calls
 
 
 class TestIdealStatisticsUseGeneratedIdeal:

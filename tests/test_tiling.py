@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from treerow import (
+    Orbit,
     RootedTree,
     Tile,
     Tiling,
@@ -70,6 +71,14 @@ class TestConstruction:
         orbit = zero_orbit(STAR_332)
         with pytest.raises(ValueError):
             tiling_of_orbit(parse_tree("(()())"), orbit)
+
+    def test_rejects_unknown_node(self):
+        tree = parse_tree("(()())")
+        orbit = Orbit((frozenset(), frozenset({0}), frozenset({1, 7})))
+        with pytest.raises(
+            ValueError, match="orbit inconsistent with tree: unknown node 7"
+        ):
+            tiling_of_orbit(tree, orbit)
 
 
 class TestValidateAndInvert:
