@@ -166,10 +166,6 @@ def _format(args, default: str, allowed: tuple[str, ...]) -> str:
     return fmt
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _run_orbits(args) -> tuple[str, int]:
     tree, name = _input_tree(args)
     orbits = all_orbits(tree, budget=args.budget)
@@ -249,7 +245,7 @@ def _run_stats(args) -> tuple[str, int]:
         return (
             _emit_csv(
                 ("orbit", "size", "delta", "sum", "average"),
-                [(i, s, d, t, _fraction_str(a)) for i, s, d, t, a in rows],
+                [(i, s, d, t, str(a)) for i, s, d, t, a in rows],
             ),
             0,
         )
@@ -262,7 +258,7 @@ def _run_stats(args) -> tuple[str, int]:
                 "size": s,
                 "delta": d,
                 "sum": t,
-                "average": _fraction_str(a),
+                "average": str(a),
             }
             for i, s, d, t, a in rows
         ],
@@ -277,13 +273,13 @@ def _run_homomesy(args) -> tuple[str, int]:
     _format(args, "json", ("json",))
     doc = {"tree": name, "stat": stat.spec(), "homomesic": verdict.is_homomesic}
     if verdict.is_homomesic:
-        doc["constant"] = _fraction_str(verdict.constant)
+        doc["constant"] = str(verdict.constant)
     else:
         a, b = verdict.witness
         doc["witness"] = {
             "orbits": [_orbit_record(a, 1), _orbit_record(b, 2)],
             "averages": [
-                _fraction_str(Fraction(orbit_sum(tree, stat, o), o.size))
+                str(Fraction(orbit_sum(tree, stat, o), o.size))
                 for o in (a, b)
             ],
         }

@@ -164,7 +164,6 @@ class IntervalSpec:
     """One branch of a rooted tree: its leaf interval, size, and nodes.
 
     ``nodes`` lists the branch top-down: ``nodes[0]`` is the maximal
-
     element (farthest from the root), ``nodes[-1]`` the one closest to
     the root.  ``beta == len(nodes)``.
     """

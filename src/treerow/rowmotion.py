@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .poset import Poset, RootedTree, _bits, _down_mask, _extension, _node_mask
@@ -119,7 +119,7 @@ def toggle(poset: Poset, ideal: Iterable[int], x: int) -> frozenset[int]:
 
 
 def rho_via_toggles(
-    poset: Poset, ideal: Iterable[int], extension: Sequence[int]
+    poset: Poset, ideal: Iterable[int], extension: Optional[Sequence[int]]
 ) -> frozenset[int]:
     """Toggle along a linear extension, top element first.
 

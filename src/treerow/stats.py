@@ -37,7 +37,7 @@ from .rowmotion import (
     _ideal_mask,
     all_orbits,
 )
-from .tiling import Tiling, tile_counts
+from .tiling import Tiling, _tile_counts
 
 __all__ = [
     "Statistic",
@@ -183,7 +183,9 @@ class TilingSums:
 
 
 def orbit_sums_from_tiling(tree: RootedTree, tiling: Tiling) -> TilingSums:
-    counts = tile_counts(tiling)
+    """The orbit sums of the four atoms, read off a tiling valid for
+    ``tree`` (``ValueError`` naming the violation otherwise)."""
+    counts = _tile_counts(tree, tiling)
     chi_x = {}
     hatchi_x = {}
     chi = 0

@@ -9,15 +9,23 @@ remaining cells are 1x1 yellow tiles.  The two local succession rules —
 what must follow a black tile and what must follow a maximal yellow run —
 characterise exactly the tilings that arise this way, which is what
 :func:`validate_tiling` checks and :func:`orbit_of_tiling` inverts.
+
+A tiling keeps one cylinder, for the tree object it was last judged
+against: its black tiles and one int per cell, naming the black tile
+that covers the cell or marking it yellow or empty, with the verdict of
+:func:`validate_tiling` and the columns read as antichains.  Validation,
+inversion, :func:`tile_counts`, the tiling sums of :mod:`treerow.stats`
+and ASCII rendering read it; :func:`tiling_of_orbit` lays it directly,
+and builds ``Tiling.tiles`` only when they are read.  All but validation
+and rendering raise ``ValueError("invalid tiling: …")`` on a tiling that
+is not valid for the tree they are given.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import attrgetter
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .poset import RootedTree, _bits, interval_partition
 from .rowmotion import Orbit, _canonical, _rho_mask
@@ -36,6 +44,10 @@ __all__ = [
 BLACK = "black"
 YELLOW = "yellow"
 
+# cell marks beside the black-tile indices 0, 1, ...
+_YELLOW = -1  # covered by a 1x1 yellow tile
+_EMPTY = -2  # covered by no tile
+
 
 @dataclass(frozen=True)
 class Tile:
@@ -43,16 +55,6 @@ class Tile:
     interval: tuple[int, int]  # leaf-label rows lo..hi, inclusive
     start: int  # column of the first cell, 0-based mod columns
     width: int
-
-    def __init__(self, color: str, interval: tuple[int, int], start: int, width: int):
-        # The generated __init__ of a frozen dataclass sets each field
-        # through object.__setattr__, about twice the cost of this; a
-        # tiling holds one tile per yellow cell.
-        d = self.__dict__
-        d["color"] = color
-        d["interval"] = interval
-        d["start"] = start
-        d["width"] = width
 
     def columns(self, total: int) -> list[int]:
         return [(self.start + o) % total for o in range(self.width)]
@@ -64,47 +66,73 @@ class TilingReport:
     violation: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """The cylinder's cells, column-major: ``cells[col * rows + row - 1]``
-    is the tile covering ``(row, col)``, or None where no tile does.
+@dataclass(eq=False)
+class _Cylinder:
+    """A tiling laid on the cylinder of ``tree``, column-major:
+    ``cells[col * rows + row - 1]`` is the index in ``black`` of the tile
+    covering ``(row, col)``, or ``_YELLOW``, or ``_EMPTY``.
 
-    ``defect`` is ``(i, cell)`` when tile ``i`` could not be placed: it
-    covers ``cell`` a second time, or (``cell`` None) it does not fit the
-    cylinder.  Tiles after it are not placed; every tile before it fits.
-    ``gaps`` counts the cells left None.
+    ``black`` holds the tiles that are not 1x1 yellow, which on a
+    well-shaped tiling are its black tiles.  ``cells`` is None when a tile
+    could not be laid, because it overlaps an earlier one or leaves the
+    cylinder.  ``verdict`` and ``masks`` (each column's antichain) are
+    filled in on first use.
     """
 
-    rows: int
-    cells: list[Optional[Tile]]
-    defect: Optional[tuple[int, Optional[tuple[int, int]]]]
-    gaps: int
+    tree: RootedTree
+    black: list[Tile]
+    cells: Optional[list[int]]
+    verdict: Optional[TilingReport] = None
+    masks: Optional[list[int]] = None
 
 
 @dataclass(frozen=True)
 class Tiling:
     """A tiling of the ``rows x columns`` cylinder of a tree.
 
-    The cell grid is derived from ``tiles`` once per tiling (by
-    :func:`tiling_of_orbit` as it lays the tiles, otherwise on first use)
-    and shared by :func:`validate_tiling` and :func:`render_tiling`.  The
-    tiling also keeps, each with the tree object it was reached against,
-    the last verdict of :func:`validate_tiling`, so that
-    :func:`orbit_of_tiling` validates each tiling once, and its columns
-    read as antichains, which :func:`orbit_of_tiling` and
-    :func:`tile_counts` share.
+    Explicit ``tiles`` are laid into the tiling's one private cylinder on
+    first use.  A tiling from :func:`tiling_of_orbit` comes with its
+    cylinder and builds ``tiles``, in ``(start, interval)`` order, only
+    when they are first read.  Equality, hashing and ``repr`` read
+    ``tiles`` either way.
     """
 
     tree: RootedTree
     columns: int
     tiles: tuple[Tile, ...]
-    _grid: Optional[_Grid] = field(default=None, init=False, repr=False, compare=False)
-    _verdict: Optional[tuple[RootedTree, TilingReport]] = field(
+    _cylinder: Optional[_Cylinder] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _columns: Optional[tuple[RootedTree, list[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    @classmethod
+    def _of(cls, tree: RootedTree, columns: int, cylinder: _Cylinder) -> "Tiling":
+        """The tiling laid out on ``cylinder``, its ``tiles`` not yet built."""
+        tiling = object.__new__(cls)
+        object.__setattr__(tiling, "tree", tree)
+        object.__setattr__(tiling, "columns", columns)
+        object.__setattr__(tiling, "_cylinder", cylinder)
+        return tiling
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks, as ``tiles``
+        # on a tiling made by _of.  Each tile is listed where its first
+        # cell falls in a column-major scan: that is the (start, interval)
+        # order of _sorted_tiles, since tiles starting in one column are
+        # disjoint there.
+        cylinder = self._cylinder
+        if name != "tiles" or cylinder is None:
+            raise AttributeError(name)
+        n = cylinder.tree.n_leaves
+        black = cylinder.black
+        tiles: list[Tile] = []
+        for i, k in enumerate(cylinder.cells):
+            col, r = divmod(i, n)
+            if k == _YELLOW:
+                tiles.append(Tile(YELLOW, (r + 1, r + 1), col, 1))
+            elif black[k].start == col and black[k].interval[0] == r + 1:
+                tiles.append(black[k])
+        object.__setattr__(self, "tiles", tuple(tiles))
+        return self.tiles
 
     @property
     def rows(self) -> int:
@@ -115,54 +143,11 @@ def _sorted_tiles(tiles) -> tuple[Tile, ...]:
     return tuple(sorted(tiles, key=lambda t: (t.start, t.interval, t.color)))
 
 
-def _place(
-    cells: list[Optional[Tile]], rows: int, columns: int, tiles: Sequence[Tile]
-) -> tuple[Optional[tuple[int, Optional[tuple[int, int]]]], int]:
-    """Write ``tiles`` into ``cells`` in order: the defect stopping it, if
-    any, and the number of cells written."""
-    written = 0
-    for i, tile in enumerate(tiles):
-        lo, hi = tile.interval
-        start = tile.start
-        width = tile.width
-        fits = 1 <= lo <= hi <= rows and 0 <= start < columns
-        if not (fits and 1 <= width <= columns):
-            return (i, None), written
-        for col in range(start, start + width):
-            col %= columns
-            base = col * rows - 1
-            for row in range(lo, hi + 1):
-                if cells[base + row] is not None:
-                    return (i, (row, col)), written
-                cells[base + row] = tile
-        written += width * (hi - lo + 1)
-    return None, written
-
-
-def _black(tiles: Sequence[Tile]) -> Iterator[Tile]:
-    """The black tiles among ``tiles``, in order, filtered without a loop
-    in Python."""
-    return compress(tiles, map(BLACK.__eq__, map(attrgetter("color"), tiles)))
-
-
-def _grid_of(tiling: Tiling, rows: int) -> _Grid:
-    """The tiling's grid with ``rows`` rows, derived on first use."""
-    grid = tiling._grid
-    if grid is not None and grid.rows == rows:
-        return grid
-    cells: list[Optional[Tile]] = [None] * (rows * tiling.columns)
-    defect, written = _place(cells, rows, tiling.columns, tiling.tiles)
-    grid = _Grid(rows, cells, defect, len(cells) - written)
-    if rows == tiling.rows:
-        object.__setattr__(tiling, "_grid", grid)
-    return grid
-
-
 def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
     """Build the cylinder tiling of an orbit (column 0 = representative).
 
-    The tiles are laid straight into the tiling's cell grid, so the grid
-    comes with the tiling.
+    The black tiles are laid straight into the tiling's cylinder, and the
+    cells they leave are yellow.
     """
     c = orbit.size
     n = tree.n_leaves
@@ -182,7 +167,8 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
                 "orbit inconsistent with tree: a branch is not walked whole "
                 f"across columns {t} and {nxt}"
             )
-    cells: list[Optional[Tile]] = [None] * (n * c)
+    cells = [_YELLOW] * (n * c)
+    black: list[Tile] = []
     bottoms = ~(one << 1)
     branch_of = tree.branch_of
     for t, m in enumerate(orbit.masks):
@@ -192,71 +178,127 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
                 raise ValueError(
                     f"orbit inconsistent with tree: {iv}-tile wider than the orbit"
                 )
-            tile = Tile(BLACK, iv, t, beta)
+            k = len(black)
+            black.append(Tile(BLACK, iv, t, beta))
             lo, hi = iv
             for col in range(t, t + beta):
                 base = col % c * n - 1
                 for row in range(lo, hi + 1):
-                    if cells[base + row] is not None:
+                    if cells[base + row] != _YELLOW:
                         raise ValueError(
                             "orbit inconsistent with tree: cell "
                             f"{(row, col % c)} doubly covered"
                         )
-                    cells[base + row] = tile
-    # Fill the gaps with yellow cells and list every tile where its first
-    # cell falls in a column-major scan: that is the (start, interval)
-    # order of _sorted_tiles, since tiles starting in one column are
-    # disjoint there.
-    tiles: list[Tile] = []
-    for col in range(c):
-        base = col * n
-        for r in range(n):
-            tile = cells[base + r]
-            if tile is None:
-                tile = cells[base + r] = Tile(YELLOW, (r + 1, r + 1), col, 1)
-                tiles.append(tile)
-            elif tile.start == col and tile.interval[0] == r + 1:
-                tiles.append(tile)
-    tiling = Tiling(tree, c, tuple(tiles))
-    object.__setattr__(tiling, "_grid", _Grid(n, cells, None, 0))
-    return tiling
+                    cells[base + row] = k
+    return Tiling._of(tree, c, _Cylinder(tree, black, cells))
+
+
+def _cylinder(tree: RootedTree, tiling: Tiling) -> _Cylinder:
+    """The tiling's cylinder for ``tree``.
+
+    Unless the tiling keeps one for this tree object, its tiles are laid
+    in order.  The first tile that is misshapen (by :func:`_misshapen`)
+    or that covers a cell a second time sets the verdict; the pass stops
+    at a tile that overlaps or leaves the cylinder, but lays a misshapen
+    one that fits, so that such a tiling can still be drawn.
+    """
+    cylinder = tiling._cylinder
+    if cylinder is not None and cylinder.tree is tree:
+        return cylinder
+    c = tiling.columns
+    n = tree.n_leaves
+    specs = tree.interval_specs
+    flaw = None if c >= 1 else "tiling must have at least one column"
+    black: list[Tile] = []
+    cells: Optional[list[int]] = [_EMPTY] * (n * c)
+    for tile in tiling.tiles:  # read off the old cylinder before it is replaced
+        flaw = flaw or _misshapen(tile, n, c, specs)
+        lo, hi = tile.interval
+        start, width = tile.start, tile.width
+        if not (1 <= lo <= hi <= n and 0 <= start < c and 1 <= width <= c):
+            cells = None
+            break
+        spots = [
+            col % c * n + row - 1
+            for col in range(start, start + width)
+            for row in range(lo, hi + 1)
+        ]
+        taken = next((i for i in spots if cells[i] != _EMPTY), None)
+        if taken is not None:
+            col, r = divmod(taken, n)
+            flaw = flaw or f"cell {(r + 1, col)} covered twice"
+            cells = None
+            break
+        if tile.color == YELLOW and lo == hi and width == 1:
+            mark = _YELLOW
+        else:
+            mark = len(black)
+            black.append(tile)
+        for i in spots:
+            cells[i] = mark
+    cylinder = _Cylinder(tree, black, cells)
+    if flaw is not None:
+        cylinder.verdict = TilingReport(False, flaw)
+    object.__setattr__(tiling, "_cylinder", cylinder)
+    return cylinder
+
+
+def _misshapen(tile: Tile, n: int, c: int, specs: dict) -> Optional[str]:
+    """What is wrong with the tile's shape on an ``n x c`` cylinder, its
+    checks taken in a fixed order; None if nothing is."""
+    lo, hi = tile.interval
+    if tile.color not in (BLACK, YELLOW):
+        return f"unknown color {tile.color!r}"
+    if not (1 <= lo <= hi <= n):
+        return f"tile rows {tile.interval} out of range"
+    if not (0 <= tile.start < c):
+        return f"tile start {tile.start} out of range"
+    if tile.width < 1 or tile.width > c:
+        return f"tile width {tile.width} out of range"
+    if tile.color == YELLOW:
+        if lo != hi or tile.width != 1:
+            return f"yellow tile at {tile.start} is not 1x1"
+        return None
+    spec = specs.get(tile.interval)
+    if spec is None:
+        return f"{tile.interval} is not an interval of the tree"
+    if tile.width != spec.beta:
+        return (
+            f"{tile.interval}-tile at column {tile.start} has width "
+            f"{tile.width}, expected {spec.beta}"
+        )
+    return None
 
 
 def validate_tiling(tree: RootedTree, tiling: Tiling) -> TilingReport:
     """Check shapes, exact cover, and the two succession rules.
 
     Violations are reported, not raised; the first one found (in a fixed
-    scan order) is named in the report.  Every call runs every check,
-    reading the tiling's cell grid (derived once per tiling); the verdict
-    is kept on the tiling for :func:`orbit_of_tiling`.
+    scan order) is named in the report.  The verdict is reached once per
+    tiling and tree object and kept on the tiling's cylinder, where
+    :func:`orbit_of_tiling`, :func:`tile_counts` and the tiling sums read
+    it.
     """
-    report = _validate(tree, tiling)
-    object.__setattr__(tiling, "_verdict", (tree, report))
-    return report
+    cylinder = _cylinder(tree, tiling)
+    if cylinder.verdict is None:
+        violation = _violation(cylinder, tiling.columns)
+        cylinder.verdict = TilingReport(violation is None, violation)
+    return cylinder.verdict
 
 
-def _validate(tree: RootedTree, tiling: Tiling) -> TilingReport:
-    c = tiling.columns
+def _violation(cylinder: _Cylinder, c: int) -> Optional[str]:
+    """The first gap or broken succession rule of a cylinder whose tiles
+    are well shaped and laid."""
+    tree = cylinder.tree
     n = tree.n_leaves
-    if c < 1:
-        return TilingReport(False, "tiling must have at least one column")
-
-    grid = _grid_of(tiling, n)
-    specs = tree.interval_specs
-    # Without a defect every tile was placed, so it fits the cylinder;
-    # the rest of its shape is checked once per distinct shape.
-    if grid.defect is not None or not _shapes_fit(tiling.tiles, specs):
-        return TilingReport(False, _first_shape_violation(tiling.tiles, grid, c, specs))
-    cells = grid.cells
-    if grid.gaps:
-        col, r = divmod(next(i for i, t in enumerate(cells) if t is None), n)
-        return TilingReport(False, f"cell {(r + 1, col)} not covered")
-
-    violation = _black_rule_violation(tree, cells, c, tiling.tiles)
-    if violation is not None:
+    cells = cylinder.cells
+    black = cylinder.black
+    if _EMPTY in cells:
+        col, r = divmod(cells.index(_EMPTY), n)
+        return f"cell {(r + 1, col)} not covered"
+    if _black_rule_violation(cylinder, c, black) is not None:
         # name the first violation in the canonical tile order
-        violation = _black_rule_violation(tree, cells, c, _sorted_tiles(tiling.tiles))
-        return TilingReport(False, violation)
+        return _black_rule_violation(cylinder, c, _sorted_tiles(black))
     # Rule for yellow runs: each maximal vertical run of yellow cells is
     # followed by the maximal partition of its row interval.
     for col in range(c):
@@ -264,123 +306,76 @@ def _validate(tree: RootedTree, tiling: Tiling) -> TilingReport:
         base = col * n - 1
         row = 1
         while row <= n:
-            if cells[base + row].color != YELLOW:
+            if cells[base + row] != _YELLOW:
                 row += 1
                 continue
             top = row
-            while row <= n and cells[base + row].color == YELLOW:
+            while row <= n and cells[base + row] == _YELLOW:
                 row += 1
             run = (top, row - 1)
             for block in interval_partition(tree, run, proper=False):
-                t = cells[nxt * n + block[0] - 1]
-                if t.color != BLACK or t.interval != block or t.start != nxt:
-                    return TilingReport(
-                        False,
+                k = cells[nxt * n + block[0] - 1]
+                if k < 0 or black[k].interval != block or black[k].start != nxt:
+                    return (
                         f"yellow run {run} in column {col} is not followed "
-                        f"by a {block}-tile starting at column {nxt}",
+                        f"by a {block}-tile starting at column {nxt}"
                     )
-    return TilingReport(True)
-
-
-def _shapes_fit(tiles: Sequence[Tile], specs: dict) -> bool:
-    """Whether every tile has a known color and the height and width
-    that color asks for; one check per distinct shape."""
-    shapes = set(map(attrgetter("color", "interval", "width"), tiles))
-    for color, (lo, hi), width in shapes:
-        if color == YELLOW:
-            fits = lo == hi and width == 1
-        else:
-            spec = specs.get((lo, hi)) if color == BLACK else None
-            fits = spec is not None and width == spec.beta
-        if not fits:
-            return False
-    return True
-
-
-def _first_shape_violation(
-    tiles: Sequence[Tile], grid: _Grid, c: int, specs: dict
-) -> str:
-    """What is wrong with the first tile, in order, whose shape is wrong
-    or that could not be placed in the grid; each tile's checks are
-    taken in a fixed order."""
-    n = grid.rows
-    defect_at, twice = grid.defect if grid.defect is not None else (-1, None)
-    for i, tile in enumerate(tiles):
-        lo, hi = tile.interval
-        if tile.color not in (BLACK, YELLOW):
-            return f"unknown color {tile.color!r}"
-        if not (1 <= lo <= hi <= n):
-            return f"tile rows {tile.interval} out of range"
-        if not (0 <= tile.start < c):
-            return f"tile start {tile.start} out of range"
-        if tile.width < 1 or tile.width > c:
-            return f"tile width {tile.width} out of range"
-        if tile.color == YELLOW:
-            if lo != hi or tile.width != 1:
-                return f"yellow tile at {tile.start} is not 1x1"
-        else:
-            spec = specs.get(tile.interval)
-            if spec is None:
-                return f"{tile.interval} is not an interval of the tree"
-            if tile.width != spec.beta:
-                return (
-                    f"{tile.interval}-tile at column {tile.start} has width "
-                    f"{tile.width}, expected {spec.beta}"
-                )
-        if i == defect_at:
-            return f"cell {twice} covered twice"
-    raise AssertionError("no tile is at fault")
+    return None
 
 
 def _black_rule_violation(
-    tree: RootedTree, cells: list, c: int, tiles: Sequence[Tile]
+    cylinder: _Cylinder, c: int, tiles: Sequence[Tile]
 ) -> Optional[str]:
     """Rule for black tiles: a singleton-interval tile is followed by a
     yellow cell; a wider one by the maximal proper partition of its
     interval, all starting in the next column (a block starts there when
     the tile on its first cell does).  The first violation among
     ``tiles``, in their order."""
+    tree = cylinder.tree
     n = tree.n_leaves
-    for tile in _black(tiles):
+    cells = cylinder.cells
+    black = cylinder.black
+    for tile in tiles:
         lo, hi = tile.interval
         nxt = (tile.start + tile.width) % c
         if lo == hi:
-            if cells[nxt * n + lo - 1].color != YELLOW:
+            if cells[nxt * n + lo - 1] != _YELLOW:
                 return (
                     f"{tile.interval}-tile ending before column {nxt} "
                     "is not followed by a yellow tile"
                 )
-        else:
-            for block in interval_partition(tree, tile.interval, proper=True):
-                t = cells[nxt * n + block[0] - 1]
-                if t.color != BLACK or t.interval != block or t.start != nxt:
-                    return (
-                        f"{tile.interval}-tile ending before column {nxt} is not "
-                        f"followed by a {block}-tile starting there"
-                    )
+            continue
+        for block in interval_partition(tree, tile.interval, proper=True):
+            k = cells[nxt * n + block[0] - 1]
+            if k < 0 or black[k].interval != block or black[k].start != nxt:
+                return (
+                    f"{tile.interval}-tile ending before column {nxt} is not "
+                    f"followed by a {block}-tile starting there"
+                )
     return None
+
+
+def _valid(tree: RootedTree, tiling: Tiling) -> _Cylinder:
+    """The tiling's cylinder for ``tree``, once the tiling is valid there;
+    ``ValueError`` naming the violation otherwise."""
+    report = validate_tiling(tree, tiling)
+    if not report.ok:
+        raise ValueError(f"invalid tiling: {report.violation}")
+    return tiling._cylinder
 
 
 def orbit_of_tiling(tree: RootedTree, tiling: Tiling) -> Orbit:
     """Invert :func:`tiling_of_orbit` (up to the canonical rotation).
 
-    The tiling is validated first — once: a verdict that
-    :func:`validate_tiling` already reached on this tiling against this
-    same tree object is reused.  Reconstruction then reads each column,
-    mapping the ``o``-th column of a black tile to the ``o``-th smallest
-    branch element.  A final rowmotion-consistency pass rejects anything
-    that slipped past the local rules (e.g. a cylinder that repeats a
-    smaller orbit more than once).
+    The tiling is validated first, once per tiling and tree object.
+    Reconstruction then reads each column, mapping the ``o``-th column of
+    a black tile to the ``o``-th smallest branch element.  A final
+    rowmotion-consistency pass rejects anything that slipped past the
+    local rules (e.g. a cylinder that repeats a smaller orbit more than
+    once).
     """
-    verdict = tiling._verdict
-    if verdict is not None and verdict[0] is tree:
-        report = verdict[1]
-    else:
-        report = validate_tiling(tree, tiling)
-    if not report.ok:
-        raise ValueError(f"invalid tiling: {report.violation}")
     c = tiling.columns
-    masks = _column_masks(tree, tiling)
+    masks = _column_masks(_valid(tree, tiling), c)
     for t, m in enumerate(masks):
         if _rho_mask(tree, m) != masks[(t + 1) % c]:
             raise ValueError(
@@ -391,31 +386,35 @@ def orbit_of_tiling(tree: RootedTree, tiling: Tiling) -> Orbit:
     return Orbit._of(_canonical(tuple(masks)))
 
 
-def _column_masks(tree: RootedTree, tiling: Tiling) -> list[int]:
+def _column_masks(cylinder: _Cylinder, c: int) -> list[int]:
     """Each column's antichain, as a bitmask: the ``o``-th column of a
     black tile holds the ``o``-th node of its branch counted from the
-    root.  Read once per tiling and tree object."""
-    cached = tiling._columns
-    if cached is not None and cached[0] is tree:
-        return cached[1]
-    c = tiling.columns
-    specs = tree.interval_specs
-    masks = [0] * c
-    for tile in _black(tiling.tiles):
-        # a branch's ids run up by one from its node nearest the root
-        bit = 1 << specs[tile.interval].nodes[-1]
-        for o in range(tile.width):
-            masks[(tile.start + o) % c] |= bit << o
-    object.__setattr__(tiling, "_columns", (tree, masks))
-    return masks
+    root.  Read once per cylinder."""
+    if cylinder.masks is None:
+        specs = cylinder.tree.interval_specs
+        masks = [0] * c
+        for tile in cylinder.black:
+            # a branch's ids run up by one from its node nearest the root
+            bit = 1 << specs[tile.interval].nodes[-1]
+            for o in range(tile.width):
+                masks[(tile.start + o) % c] |= bit << o
+        cylinder.masks = masks
+    return cylinder.masks
 
 
 def tile_counts(tiling: Tiling) -> dict[tuple[int, int], tuple[int, int]]:
     """Per interval ``I``: (number of I-tiles, columns meeting tiles of
-    strictly nested intervals)."""
-    tree = tiling.tree
-    m_counts = Counter(map(attrgetter("interval"), _black(tiling.tiles)))
-    masks = _column_masks(tree, tiling)
+    strictly nested intervals).  ``ValueError`` if the tiling is not valid
+    for its tree."""
+    return _tile_counts(tiling.tree, tiling)
+
+
+def _tile_counts(
+    tree: RootedTree, tiling: Tiling
+) -> dict[tuple[int, int], tuple[int, int]]:
+    cylinder = _valid(tree, tiling)
+    m_counts = Counter(tile.interval for tile in cylinder.black)
+    masks = _column_masks(cylinder, tiling.columns)
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for iv, spec in tree.interval_specs.items():
         # the nodes strictly above I's top are those of the strictly
@@ -440,23 +439,23 @@ def _render_ascii(tiling: Tiling) -> str:
     spaces join cells of one tile; '<'/'>' mark tiles crossing the seam."""
     c = tiling.columns
     n = tiling.rows
-    grid = _grid_of(tiling, n)
-    cells = grid.cells
-    if c < 1 or grid.defect is not None or grid.gaps:
+    cylinder = _cylinder(tiling.tree, tiling)
+    cells = cylinder.cells
+    if c < 1 or cells is None or _EMPTY in cells:
         raise ValueError("cannot render: the tiles do not cover the cylinder exactly")
+    black = cylinder.black
 
-    def wraps(tile: Tile) -> bool:
-        return tile.start + tile.width > c
+    def wraps(k: int) -> bool:
+        return k >= 0 and black[k].start + black[k].width > c
 
     lines = []
     for row in range(n):
         line = cells[row::n]
-        first = line[0]
-        chars = ["<" if wraps(first) and first.start != 0 else "|"]
-        for col, tile in enumerate(line):
-            chars.append("#" if tile.color == BLACK else ".")
+        chars = ["<" if wraps(line[0]) else "|"]
+        for col, k in enumerate(line):
+            chars.append("#" if k >= 0 and black[k].color == BLACK else ".")
             if col + 1 < c:
-                chars.append(" " if line[col + 1] is tile else "|")
+                chars.append(" " if k >= 0 and line[col + 1] == k else "|")
         chars.append(">" if wraps(line[-1]) else "|")
         lines.append("".join(chars))
     return "\n".join(lines) + "\n"

@@ -9,8 +9,11 @@ from treerow import (
     Tile,
     Tiling,
     all_orbits,
+    make_family,
     orbit_of,
     orbit_of_tiling,
+    orbit_sums_from_tiling,
+    parse_family,
     parse_tree,
     render_tiling,
     tile_counts,
@@ -266,3 +269,149 @@ class TestRender:
         tiling = tiling_of_orbit(STAR_33, all_orbits(STAR_33)[0])
         with pytest.raises(ValueError):
             render_tiling(tiling, "png")
+
+
+def recolored_star_33():
+    """The third orbit of S(3,3) with its yellow tiles made black: every
+    cell is covered once, but the (2,2) tiles are too narrow."""
+    tiling = tiling_of_orbit(STAR_33, all_orbits(STAR_33)[2])
+    tiles = tuple(Tile("black", t.interval, t.start, t.width) for t in tiling.tiles)
+    return Tiling(STAR_33, tiling.columns, tiles)
+
+
+class TestTwoRoutes:
+    """A tiling built from an orbit and the same tiles given explicitly
+    are laid into their cylinders by different code."""
+
+    def test_explicit_tiles_behave_as_the_orbit_built_tiling(self):
+        for tree in TREES:
+            for orbit in all_orbits(tree):
+                built = tiling_of_orbit(tree, orbit)
+                # judge the orbit-built tiling before its tiles are read
+                seen = (
+                    validate_tiling(tree, built),
+                    render_tiling(built),
+                    tile_counts(built),
+                    orbit_of_tiling(tree, built),
+                )
+                explicit = Tiling(tree, built.columns, built.tiles)
+                assert explicit == built and hash(explicit) == hash(built)
+                assert repr(explicit) == repr(built)
+                assert seen == (
+                    validate_tiling(tree, explicit),
+                    render_tiling(explicit),
+                    tile_counts(explicit),
+                    orbit_of_tiling(tree, explicit),
+                )
+                assert render_tiling(explicit, "svg") == render_tiling(built, "svg")
+
+    def test_one_tile_mutations(self):
+        """Each mutation is either rejected, with inversion raising the
+        reported violation, or inverts to a true orbit."""
+        rejected = 0
+        for tree in (t for t in TREES if t.n <= 6):
+            rel = oracles.relations_from_parents(tree.parents)
+            for orbit in all_orbits(tree):
+                tiling = tiling_of_orbit(tree, orbit)
+                c = tiling.columns
+                for i, t in enumerate(tiling.tiles):
+                    other = "yellow" if t.color == "black" else "black"
+                    swaps = [
+                        Tile(other, t.interval, t.start, t.width),
+                        Tile(t.color, t.interval, (t.start + 1) % c, t.width),
+                        Tile(t.color, t.interval, t.start, t.width + 1),
+                    ]
+                    rest = tiling.tiles[:i], tiling.tiles[i + 1 :]
+                    variants = [rest[0] + (s,) + rest[1] for s in swaps]
+                    variants += [rest[0] + rest[1], tiling.tiles + (t,)]
+                    for tiles in variants:
+                        mutated = Tiling(tree, c, tiles)
+                        report = validate_tiling(tree, mutated)
+                        if not report.ok:
+                            rejected += 1
+                            with pytest.raises(ValueError) as err:
+                                orbit_of_tiling(tree, mutated)
+                            assert str(err.value) == f"invalid tiling: {report.violation}"
+                            continue
+                        inverse = orbit_of_tiling(tree, mutated)
+                        members = list(inverse.antichains)
+                        assert oracles.orbit(tree.n, rel, members[0]) == members
+        assert rejected > 0
+
+    def test_renders_a_misshapen_exact_cover(self):
+        tiling = recolored_star_33()
+        report = validate_tiling(STAR_33, tiling)
+        assert report.violation == "(2, 2)-tile at column 1 has width 1, expected 2"
+        assert render_tiling(tiling) == "|# #|#|\n<#|#|#>\n"
+
+
+class TestCountsNeedAValidTiling:
+    def test_invalid_tiling_is_refused(self):
+        tiling = recolored_star_33()
+        message = "invalid tiling: (2, 2)-tile at column 1 has width 1, expected 2"
+        with pytest.raises(ValueError) as err:
+            orbit_sums_from_tiling(STAR_33, tiling)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            tile_counts(tiling)
+        assert str(err.value) == message
+
+    def test_tiling_of_another_tree_is_refused(self):
+        tree = parse_tree("(((()))(()))")
+        for orbit in all_orbits(STAR_33):
+            tiling = tiling_of_orbit(STAR_33, orbit)
+            with pytest.raises(ValueError, match="invalid tiling: .*width"):
+                orbit_sums_from_tiling(tree, tiling)
+            assert orbit_sums_from_tiling(STAR_33, tiling).chi == sum(
+                len(a) for a in orbit.antichains
+            )
+
+
+class TestYellowTilesAreBuiltOnRead:
+    def test_no_yellow_tile_until_tiles_are_read(self, monkeypatch):
+        tree = make_family(parse_family("star:3,3,2"))
+        made = []
+        init = Tile.__init__
+
+        def counting_init(self, color, *rest):
+            made.append(color)
+            init(self, color, *rest)
+
+        monkeypatch.setattr(Tile, "__init__", counting_init)
+        tilings = []
+        for orbit in all_orbits(tree):
+            tiling = tiling_of_orbit(tree, orbit)
+            assert validate_tiling(tree, tiling).ok
+            assert orbit_of_tiling(tree, tiling) == orbit
+            orbit_sums_from_tiling(tree, tiling)
+            render_tiling(tiling)
+            tilings.append((orbit, tiling))
+        assert "yellow" not in made
+        for orbit, tiling in tilings:
+            tiles = tiling.tiles
+            assert tiles == tuple(
+                sorted(tiles, key=lambda t: (t.start, t.interval, t.color))
+            )
+            # the yellow tiles are the cells no member's branch blackens
+            black_cells = {
+                (row, col)
+                for col, members in enumerate(orbit.antichains)
+                for x in members
+                for row in range(
+                    tree.branch_of[x][0][0], tree.branch_of[x][0][1] + 1
+                )
+            }
+            yellow = {(t.interval[0], t.start) for t in tiles if t.color == "yellow"}
+            assert yellow == {
+                (row, col)
+                for row in range(1, tree.n_leaves + 1)
+                for col in range(tiling.columns)
+            } - black_cells
+            assert all(
+                t.interval[0] == t.interval[1] and t.width == 1
+                for t in tiles
+                if t.color == "yellow"
+            )
+        assert made.count("yellow") == sum(
+            1 for _, tiling in tilings for t in tiling.tiles if t.color == "yellow"
+        )
