@@ -23,6 +23,7 @@ from typing import Optional
 
 from .continuous import (
     DEFAULT_MAX_ITER,
+    _is_prime,
     order_search,
     random_birational_point,
     random_pl_point,
@@ -50,30 +51,6 @@ __all__ = ["main"]
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for anything we can type on a command line."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _build_parser() -> argparse.ArgumentParser:

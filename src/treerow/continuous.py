@@ -13,13 +13,21 @@ Scalar arithmetic is exact: `Fraction` values, or integers mod a prime
 for the fast screening path.  Iterating the birational map over the
 rationals blows up coefficient sizes quickly (the largest bit length
 seen is reported by `order_search`), which is why the prime-field mode
-exists.
+exists.  The modulus must be prime (``ValueError`` otherwise), since
+the zero checks and the return test need a field.  A mod-p point is a
+tuple of residues, but the maps work on projective pairs ``(a, b)``
+with value ``a/b``: a toggle is a ratio of subtraction-free products
+(Einstein–Propp, arXiv:1310.5294; Grinberg–Roby, arXiv:1402.6178), so
+no inverse is taken per toggle.  `birational_rowmotion` and
+`birational_toggle` normalise once at the end; `order_search` never
+does, and compares ``a`` with ``start · b``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -75,8 +83,7 @@ class LabeledPoint:
                 self, "values", tuple(Fraction(v) for v in self.values)
             )
         elif self.mode == "modp":
-            if self.p is None or self.p < 2:
-                raise ValueError("modp points need a modulus >= 2")
+            _require_prime(self.p)
             object.__setattr__(
                 self, "values", tuple(int(v) % self.p for v in self.values)
             )
@@ -85,6 +92,37 @@ class LabeledPoint:
 
     def mode_string(self) -> str:
         return "rational" if self.mode == "rational" else f"modp:{self.p}"
+
+
+@lru_cache(maxsize=256)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases: deterministic
+    below 3.1·10^23, and far beyond any modulus in use here."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _require_prime(p) -> None:
+    if not (isinstance(p, int) and _is_prime(p)):
+        raise ValueError(f"mod-p arithmetic needs a prime modulus, got {p!r}")
 
 
 def _require_rational(f: LabeledPoint) -> None:
@@ -145,7 +183,12 @@ def ideal_of_indicator(f: LabeledPoint) -> frozenset[int]:
     return frozenset(members)
 
 
-def _bi_toggled_rational(poset: Poset, vals: list, x: int, p: None) -> Fraction:
+def _require_nonzero(values) -> None:
+    if any(v == 0 for v in values):
+        raise ZeroInFieldError("birational points must be nonzero everywhere")
+
+
+def _bi_toggled_rational(poset: Poset, vals: list, x: int) -> Fraction:
     lo = poset.lower_covers[x]
     up = poset.upper_covers[x]
     num = sum(vals[y] for y in lo) if lo else ONE
@@ -159,34 +202,71 @@ def _bi_toggled_rational(poset: Poset, vals: list, x: int, p: None) -> Fraction:
     return out
 
 
-def _bi_toggled_modp(poset: Poset, vals: list, x: int, p: int) -> int:
-    lo = poset.lower_covers[x]
-    up = poset.upper_covers[x]
-    num = sum(vals[y] for y in lo) % p if lo else 1
-    # reciprocal sum as one fraction snum/prod: one inverse per toggle
-    snum, prod = (0, 1) if up else (1, 1)
-    for z in up:
-        v = vals[z]
-        snum = (snum * v + prod) % p
-        prod = prod * v % p
-    den = vals[x] * snum % p
-    if den == 0:
-        raise ZeroInFieldError(f"reciprocal sum vanishes toggling {x} (mod {p})")
-    out = num * prod * pow(den, -1, p) % p
-    if out == 0:
-        raise ZeroInFieldError(f"toggling {x} produced zero (mod {p})")
-    return out
+def _plan(poset: Poset, order: Iterable[int]) -> list:
+    """``(x, lower covers, upper covers)`` per toggle, in order."""
+    return [(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order]
+
+
+def _bi_run_modp(plan: list, a: list, b: list, p: int) -> None:
+    """Toggle along ``plan`` in place, the value at x being a[x]/b[x].
+
+    The lower-cover sum is N/D and the reciprocal upper-cover sum S/Q,
+    both built with running products, so the toggle
+    ``(N/D) / ((a_x/b_x)·(S/Q))`` is ``a_x ← N·b_x·Q``, ``b_x ← D·a_x·S``.
+    Each value stays a ratio of units: S ≡ 0 or N ≡ 0 is the only way
+    for a zero to appear, and either raises.
+    """
+    for x, lo, up in plan:
+        if lo:
+            y = lo[0]
+            num, den = a[y], b[y]
+            for y in lo[1:]:
+                num = (num * b[y] + a[y] * den) % p
+                den = den * b[y] % p
+        else:
+            num = den = 1
+        if up:
+            z = up[0]
+            s, q = b[z], a[z]
+            for z in up[1:]:
+                s = (s * a[z] + b[z] * q) % p
+                q = q * a[z] % p
+            if not s:
+                raise ZeroInFieldError(
+                    f"reciprocal sum vanishes toggling {x} (mod {p})"
+                )
+        else:
+            s = q = 1
+        if not num:
+            raise ZeroInFieldError(f"toggling {x} produced zero (mod {p})")
+        a[x], b[x] = num * b[x] * q % p, den * a[x] * s % p
+
+
+def _normalised(a: list, b: list, p: int) -> tuple:
+    """The residues a[i]/b[i], with one inverse for all of them."""
+    prefix = [1]
+    for v in b:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(a)
+    for i in range(len(a) - 1, -1, -1):
+        # here inv = 1 / (b[0] ... b[i]) and prefix[i] = b[0] ... b[i-1]
+        out[i] = a[i] * prefix[i] * inv % p
+        inv = inv * b[i] % p
+    return tuple(out)
 
 
 def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
     """Check that f is nonzero everywhere, then toggle along ``order``."""
-    if any(v == 0 for v in f.values):
-        raise ZeroInFieldError("birational points must be nonzero everywhere")
-    toggled = _bi_toggled_rational if f.mode == "rational" else _bi_toggled_modp
-    vals = list(f.values)
-    for x in order:
-        vals[x] = toggled(poset, vals, x, f.p)
-    return LabeledPoint(poset, tuple(vals), f.mode, f.p)
+    _require_nonzero(f.values)
+    if f.mode == "rational":
+        vals = list(f.values)
+        for x in order:
+            vals[x] = _bi_toggled_rational(poset, vals, x)
+        return LabeledPoint(poset, tuple(vals))
+    a, b = list(f.values), [1] * poset.n
+    _bi_run_modp(_plan(poset, order), a, b, f.p)
+    return LabeledPoint(poset, _normalised(a, b, f.p), "modp", f.p)
 
 
 def birational_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
@@ -220,6 +300,8 @@ def random_birational_point(
 ) -> LabeledPoint:
     """num/den per element, both uniform on RANDOM_VALUE_RANGE; the mod-p
     variant maps the same draws through num * den^-1."""
+    if p is not None:
+        _require_prime(p)
     lo, hi = RANDOM_VALUE_RANGE
 
     def draw() -> tuple[int, int]:
@@ -254,6 +336,39 @@ def _bits_of(vals) -> int:
     )
 
 
+def _first_return(
+    f0: LabeledPoint, step: Callable, max_iter: int, track_bits: bool
+) -> tuple[Optional[int], Optional[int]]:
+    """The first i <= max_iter with step^i(f0) == f0 (None if there is
+    none), and the largest bit length seen if ``track_bits``."""
+    bits = _bits_of(f0.values) if track_bits else None
+    cur = f0
+    for i in range(1, max_iter + 1):
+        cur = step(cur)
+        if track_bits:
+            bits = max(bits, _bits_of(cur.values))
+        if cur.values == f0.values:
+            return i, bits
+    return None, bits
+
+
+def _first_return_modp(
+    plan: list, start: tuple, p: int, max_iter: int
+) -> Optional[int]:
+    """`_first_return` for mod-p birational rowmotion, run on projective
+    pairs: the iterate a/b is the start once a ≡ start·b everywhere."""
+    _require_nonzero(start)
+    a, b = list(start), [1] * len(start)
+    first = start[0]  # a poset has an element; test it alone first
+    for i in range(1, max_iter + 1):
+        _bi_run_modp(plan, a, b, p)
+        if a[0] == first * b[0] % p and all(
+            u == v * w % p for u, v, w in zip(a, start, b)
+        ):
+            return i
+    return None
+
+
 def order_search(
     poset: Poset,
     f0: Optional[LabeledPoint] = None,
@@ -268,7 +383,8 @@ def order_search(
     Iterates are compared to the start only: the maps are invertible, so
     the first return is the order of the start.  In mod-p mode a vanishing
     denominator is an artifact of the field; the search restarts with
-    fresh random values, up to `max_retries` times.
+    fresh random values, up to `max_retries` times.  A modulus ``p`` must
+    be prime.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -284,6 +400,8 @@ def order_search(
         step = lambda g: _pl_sweep(poset, g, order)
         make = random_pl_point
     else:
+        if p is not None:
+            _require_prime(p)
         if f0 is not None and f0.mode == "modp":
             if p is not None and p != f0.p:
                 raise ValueError("start point and search disagree on the modulus")
@@ -295,22 +413,14 @@ def order_search(
             raise ValueError("need a start point or an rng to draw one")
         f0 = make(poset, rng)
     track_bits = f0.mode == "rational" and kind == "birational"
+    plan = _plan(poset, order) if f0.mode == "modp" else None
     restarts = 0
     while True:
         try:
-            bits = _bits_of(f0.values) if track_bits else None
-            cur = f0
-            for i in range(1, max_iter + 1):
-                cur = step(cur)
-                if track_bits:
-                    bits = max(bits, _bits_of(cur.values))
-                if cur.values == f0.values:
-                    return OrderSearchResult(
-                        "finite-order", i, i, kind, f0.mode_string(), restarts, bits
-                    )
-            return OrderSearchResult(
-                "no-repeat", None, max_iter, kind, f0.mode_string(), restarts, bits
-            )
+            if plan is None:
+                found, bits = _first_return(f0, step, max_iter, track_bits)
+            else:
+                found, bits = _first_return_modp(plan, f0.values, f0.p, max_iter), None
         except ZeroInFieldError:
             if f0.mode != "modp" or rng is None:
                 raise
@@ -320,3 +430,11 @@ def order_search(
                 ) from None
             restarts += 1
             f0 = make(poset, rng)
+            continue
+        if found is None:
+            return OrderSearchResult(
+                "no-repeat", None, max_iter, kind, f0.mode_string(), restarts, bits
+            )
+        return OrderSearchResult(
+            "finite-order", found, found, kind, f0.mode_string(), restarts, bits
+        )

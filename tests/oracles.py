@@ -203,3 +203,70 @@ def interval_tilings(family, lo, hi):
             for rest in interval_tilings(family, b + 1, hi):
                 out.append(((a, b),) + rest)
     return out
+
+
+# -- birational rowmotion mod p, one inverse per toggle ----------------------
+
+class FieldZero(Exception):
+    """A toggle divided by zero or produced zero; the message says which
+    and at what element, in the package's wording."""
+
+
+def birational_toggle(n, rel, vals, x, p):
+    """Toggle x mod the prime p, boundary values 1:
+    (sum of lower covers) / (f(x) * sum of inverses of upper covers)."""
+    covers = covers_of(n, rel)
+    lower = [a for a, b in covers if b == x]
+    upper = [b for a, b in covers if a == x]
+    num = sum(vals[y] for y in lower) % p if lower else 1
+    recip = sum(pow(vals[z], -1, p) for z in upper) % p if upper else 1
+    if recip == 0:
+        raise FieldZero(f"reciprocal sum vanishes toggling {x} (mod {p})")
+    if num == 0:
+        raise FieldZero(f"toggling {x} produced zero (mod {p})")
+    out = list(vals)
+    out[x] = num * pow(vals[x] * recip, -1, p) % p
+    return out
+
+
+def birational_step(n, rel, vals, ext, p):
+    """Birational rowmotion mod p: toggle every element, the last of the
+    linear extension ``ext`` first."""
+    for x in reversed(ext):
+        vals = birational_toggle(n, rel, vals, x, p)
+    return vals
+
+
+def birational_search(n, rel, ext, p, rng, max_iter, start=None, max_retries=10):
+    """First return of mod-p birational rowmotion along ``ext``, as
+    ``(outcome, order, iterations, restarts)``.  On a zero the search
+    redraws its start from ``rng``: per element, numerator and denominator
+    uniform on 1..100 until both are units, the value their quotient.
+    Gives ``("retries-exhausted", None, None, max_retries)`` when the
+    redraws run out."""
+
+    def draw():
+        out = []
+        for _ in range(n):
+            while True:
+                a, d = rng.randint(1, 100), rng.randint(1, 100)
+                if a % p and d % p:
+                    break
+            out.append(a * pow(d, -1, p) % p)
+        return out
+
+    start = draw() if start is None else list(start)
+    restarts = 0
+    while True:
+        cur = start
+        try:
+            for i in range(1, max_iter + 1):
+                cur = birational_step(n, rel, cur, ext, p)
+                if cur == start:
+                    return ("finite-order", i, i, restarts)
+            return ("no-repeat", None, max_iter, restarts)
+        except FieldZero:
+            if restarts == max_retries:
+                return ("retries-exhausted", None, None, max_retries)
+            restarts += 1
+            start = draw()

@@ -1,6 +1,7 @@
 """PL and birational rowmotion: toggles, indicator points, order search."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,11 @@ from treerow.errors import RetriesExhaustedError, ZeroInFieldError
 
 CHERRY = parse_tree("(()())")
 STAR_332 = parse_tree("((())(())())")
+P61 = 2**61 - 1
+# the non-graded trees of acceptance criterion 13
+NON_GRADED_TREES = (
+    "(()(()))", "(()((())))", "(()(())())", "((())((())))", "(()()(()))"
+)
 
 
 def small_posets(max_n):
@@ -56,6 +62,23 @@ class TestLabeledPoint:
         f = LabeledPoint(CHERRY, (8, -1, 3), "modp", 7)
         assert f.values == (1, 6, 3)
         assert f.mode_string() == "modp:7"
+
+    def test_modulus_must_be_prime(self):
+        for p in (9, 1, 0, -7, 2**61 + 1, 7.0, None):
+            with pytest.raises(ValueError, match="prime modulus"):
+                LabeledPoint(CHERRY, (1, 2, 3), "modp", p)
+        for p in (9, 1, 561):
+            with pytest.raises(ValueError, match="prime modulus"):
+                random_birational_point(CHERRY, random.Random(0), p)
+            with pytest.raises(ValueError, match="prime modulus"):
+                order_search(CHERRY, rng=random.Random(0), p=p)
+        for p in (2, 3, 7, 10007, P61):
+            assert LabeledPoint(CHERRY, (1, 2, 3), "modp", p).p == p
+
+    def test_primality_by_trial_division(self):
+        for n in range(-3, 3000):
+            want = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+            assert treerow.continuous._is_prime(n) == want, n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -148,6 +171,18 @@ class TestBirational:
         f = LabeledPoint(CHERRY, (1, 2, 3), "modp", 5)
         with pytest.raises(ZeroInFieldError):
             birational_toggle(CHERRY, f, 0)
+
+    def test_vanishing_reciprocal_sum_is_reported_first(self):
+        # 0, 1 < 2 < 3, 4: both sums at 2 vanish mod 5 (1 + 4 and 1 + 1/4)
+        bowtie = Poset(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
+        f = LabeledPoint(bowtie, (1, 4, 2, 1, 4), "modp", 5)
+        with pytest.raises(ZeroInFieldError) as err:
+            birational_toggle(bowtie, f, 2)
+        assert str(err.value) == "reciprocal sum vanishes toggling 2 (mod 5)"
+        f = LabeledPoint(bowtie, (1, 4, 2, 1, 3), "modp", 5)
+        with pytest.raises(ZeroInFieldError) as err:
+            birational_toggle(bowtie, f, 2)
+        assert str(err.value) == "toggling 2 produced zero (mod 5)"
 
 
 class TestExtensions:
@@ -268,3 +303,111 @@ class TestOrderSearch:
         f = LabeledPoint(CHERRY, (1, 2, 3), "modp", 5)
         with pytest.raises(RetriesExhaustedError):
             order_search(CHERRY, f, rng=random.Random(8), max_retries=0)
+
+
+def modp_universe():
+    """Every poset with at most 5 elements and the non-graded trees, each
+    with its strict relation."""
+    out = [
+        (Poset(n, oracles.covers_of(n, rel)), rel)
+        for n in range(1, 6)
+        for rel in oracles.all_posets(n)
+    ]
+    for spec in NON_GRADED_TREES:
+        tree = parse_tree(spec)
+        out.append((tree, oracles.relations_from_parents(tree.parents)))
+    return out
+
+
+def residues_or_zero(step):
+    """The residues ``step()`` gives, or the message of the zero it meets."""
+    try:
+        out = step()
+    except (ZeroInFieldError, oracles.FieldZero) as err:
+        return str(err)
+    return list(getattr(out, "values", out))
+
+
+class TestModpAgainstOracle:
+    """Mod-p birational rowmotion against an oracle that takes one inverse
+    per toggle, for p in {5, 7, 13, 10007, 2^61 - 1}."""
+
+    PRIMES = (5, 7, 13, 10007, P61)
+
+    def test_rowmotion_and_toggles(self):
+        rng = random.Random(2718)
+        seen = []
+        for poset, rel in modp_universe():
+            n = poset.n
+            for p in self.PRIMES * 2:  # two starts per prime
+                ext = oracles.random_linear_extension(rng, n, rel)
+                vals = [rng.randrange(1, p) for _ in range(n)]
+                f = LabeledPoint(poset, tuple(vals), "modp", p)
+                want = residues_or_zero(
+                    lambda: oracles.birational_step(n, rel, vals, ext, p)
+                )
+                assert residues_or_zero(
+                    lambda: birational_rowmotion(poset, f, ext)
+                ) == want, (poset.covers, p, vals, ext)
+                seen.append(want)
+                for x in range(n):
+                    want = residues_or_zero(
+                        lambda: oracles.birational_toggle(n, rel, vals, x, p)
+                    )
+                    assert residues_or_zero(
+                        lambda: birational_toggle(poset, f, x)
+                    ) == want, (poset.covers, p, vals, x)
+                    seen.append(want)
+        # both kinds of zero were met
+        zeros = {w.split()[0] for w in seen if isinstance(w, str)}
+        assert zeros == {"reciprocal", "toggling"}
+
+    def test_order_search(self):
+        seeds = random.Random(3141)
+        outcomes = Counter()
+        for poset, rel in modp_universe():
+            ext = linear_extension(poset)
+            assert all(ext.index(a) < ext.index(b) for a, b in rel)
+            for p in self.PRIMES:
+                seed = seeds.randrange(2**32)
+                given = None
+                if seed % 2:  # half the searches start from a given point
+                    given = random_birational_point(poset, random.Random(~seed), p)
+                try:
+                    result = order_search(
+                        poset, given, max_iter=40, p=p, rng=random.Random(seed)
+                    )
+                    got = (
+                        result.outcome,
+                        result.order,
+                        result.iterations_used,
+                        result.restarts,
+                    )
+                except RetriesExhaustedError:
+                    got = ("retries-exhausted", None, None, 10)
+                want = oracles.birational_search(
+                    poset.n, rel, ext, p, random.Random(seed), 40,
+                    given and given.values,
+                )
+                assert got == want, (poset.covers, p, seed)
+                outcomes[got[0]] += 1
+                outcomes["restarted"] += got[3] > 0
+        assert outcomes["finite-order"] and outcomes["no-repeat"]
+        assert outcomes["restarted"]
+
+    def test_search_builds_no_point_per_step(self, monkeypatch):
+        built = []
+        post_init = LabeledPoint.__post_init__
+        monkeypatch.setattr(
+            LabeledPoint,
+            "__post_init__",
+            lambda self: built.append(self) or post_init(self),
+        )
+        tree = parse_tree(NON_GRADED_TREES[0])
+        counts = []
+        for max_iter in (10, 1000):
+            built.clear()
+            result = order_search(tree, max_iter=max_iter, p=P61, rng=random.Random(7))
+            assert (result.outcome, result.iterations_used) == ("no-repeat", max_iter)
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2

@@ -415,3 +415,23 @@ class TestYellowTilesAreBuiltOnRead:
         assert made.count("yellow") == sum(
             1 for _, tiling in tilings for t in tiling.tiles if t.color == "yellow"
         )
+
+    def test_svg_rendering_builds_no_yellow_tile(self, monkeypatch):
+        tree = make_family(parse_family("star:3,3,2"))
+        made = []
+        init = Tile.__init__
+
+        def counting_init(self, color, *rest):
+            made.append(color)
+            init(self, color, *rest)
+
+        monkeypatch.setattr(Tile, "__init__", counting_init)
+        built = [tiling_of_orbit(tree, orbit) for orbit in all_orbits(tree)]
+        svgs = [render_tiling(tiling, "svg") for tiling in built]
+        assert "yellow" not in made
+        for tiling, svg in zip(built, svgs):
+            explicit = Tiling(tree, tiling.columns, tiling.tiles)
+            assert render_tiling(explicit, "svg") == svg
+            assert svg.count('fill="#ffeeaa"') == sum(
+                t.color == "yellow" for t in tiling.tiles
+            )
