@@ -20,7 +20,15 @@ with value ``a/b``: a toggle is a ratio of subtraction-free products
 (Einstein–Propp, arXiv:1310.5294; Grinberg–Roby, arXiv:1402.6178), so
 no inverse is taken per toggle.  `birational_rowmotion` and
 `birational_toggle` normalise once at the end; `order_search` never
-does, and compares ``a`` with ``start · b``.
+does, and compares ``a`` with ``start · b``.  A mod-p point takes ints
+and `Fraction`s (``num · den⁻¹``) and rejects any other value.
+
+A PL point holds `Fraction`s, but the PL maps run on integer numerators
+over the values' common denominator D: the toggle
+``max(lo) + min(up) − f(x)`` keeps a value on the (1/D)-lattice, and the
+boundary values are 0 and D.  The polytope check reads the numerators,
+and the `Fraction`s are built once per call (`ZERO` and `ONE` when
+D = 1); `order_search` compares numerators and builds none per step.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import RetriesExhaustedError, ZeroInFieldError
 from .poset import Poset, _extension
@@ -85,10 +94,27 @@ class LabeledPoint:
         elif self.mode == "modp":
             _require_prime(self.p)
             object.__setattr__(
-                self, "values", tuple(int(v) % self.p for v in self.values)
+                self, "values", tuple(_residue(v, self.p) for v in self.values)
             )
         else:
             raise ValueError(f"unknown scalar mode {self.mode!r}")
+
+    @classmethod
+    def _of(
+        cls,
+        poset: Poset,
+        values: tuple,
+        mode: str = "rational",
+        p: Optional[int] = None,
+    ) -> "LabeledPoint":
+        """The point with ``values`` as they stand: one per element, each a
+        `Fraction` or (mode "modp") a residue in [0, p)."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "poset", poset)
+        object.__setattr__(point, "values", values)
+        object.__setattr__(point, "mode", mode)
+        object.__setattr__(point, "p", p)
+        return point
 
     def mode_string(self) -> str:
         return "rational" if self.mode == "rational" else f"modp:{self.p}"
@@ -125,32 +151,73 @@ def _require_prime(p) -> None:
         raise ValueError(f"mod-p arithmetic needs a prime modulus, got {p!r}")
 
 
+def _residue(v, p: int) -> int:
+    """An int reduced mod p, or a `Fraction` as num·den⁻¹ mod p."""
+    if isinstance(v, int):
+        return v % p
+    if isinstance(v, Fraction):
+        if v.denominator % p == 0:
+            raise ValueError(
+                f"{v} has no residue mod {p}: {p} divides its denominator"
+            )
+        return v.numerator * pow(v.denominator, -1, p) % p
+    raise ValueError(f"mod-p values must be ints or Fractions, got {v!r}")
+
+
 def _require_rational(f: LabeledPoint) -> None:
     if f.mode != "rational":
         raise ValueError("piecewise-linear rowmotion works over the rationals")
 
 
-def _check_polytope(poset: Poset, vals: Sequence[Fraction]) -> None:
+def _plan(poset: Poset, order: Iterable[int]) -> list:
+    """``(x, lower covers, upper covers)`` per toggle, in order."""
+    return [(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order]
+
+
+def _numerators(vals: Sequence[Fraction]) -> tuple[list, int]:
+    """The values as integer numerators over their common denominator D."""
+    dens = [v.denominator for v in vals]
+    d = lcm(*dens)
+    return [v.numerator * (d // e) for v, e in zip(vals, dens)], d
+
+
+def _check_polytope(poset: Poset, nums: Sequence[int], d: int) -> None:
+    """The point ``nums``/d lies in the order polytope."""
     for x in range(poset.n):
-        if not ZERO <= vals[x] <= ONE:
+        if not 0 <= nums[x] <= d:
             raise ValueError(f"value at {x} is outside [0, 1]")
     for a, b in poset.covers:
-        if vals[a] > vals[b]:
+        if nums[a] > nums[b]:
             raise ValueError(f"not order-preserving: f({a}) > f({b})")
+
+
+def _pl_run(plan: list, nums: list, d: int) -> None:
+    """Toggle along ``plan`` in place, the value at x being nums[x]/d.
+
+    ``max(lo) + min(up) − f(x)`` keeps every value on the (1/d)-lattice,
+    the boundary values 0 and d/d included, so the toggle is integer
+    arithmetic on the numerators.
+    """
+    for x, lo, up in plan:
+        big = max([nums[y] for y in lo]) if lo else 0
+        small = min([nums[z] for z in up]) if up else d
+        nums[x] = big + small - nums[x]
+
+
+def _fractions(nums: list, d: int) -> tuple:
+    """The values nums[x]/d; over d = 1 they are ZERO and ONE."""
+    if d == 1:
+        return tuple([ONE if n else ZERO for n in nums])
+    return tuple([Fraction(n, d) for n in nums])
 
 
 def _pl_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
     """Check that f lies in the order polytope, then toggle along ``order``."""
     _require_rational(f)
-    vals = list(f.values)
-    _check_polytope(poset, vals)
-    for x in order:
-        lo = poset.lower_covers[x]
-        up = poset.upper_covers[x]
-        big = max(vals[y] for y in lo) if lo else ZERO
-        small = min(vals[z] for z in up) if up else ONE
-        vals[x] = big + small - vals[x]
-    return LabeledPoint(poset, tuple(vals))
+    nums, d = _numerators(f.values)
+    _check_polytope(poset, nums, d)
+    _pl_run(_plan(poset, order), nums, d)
+    return LabeledPoint._of(poset, _fractions(nums, d))
 
 
 def pl_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
@@ -170,15 +237,19 @@ def pl_rowmotion(
 def indicator_point(poset: Poset, ideal) -> LabeledPoint:
     """0 on the ideal, 1 off it (the polytope vertex matching the ideal)."""
     lmask = _ideal_mask(poset, ideal)
-    return LabeledPoint(
-        poset, tuple(ZERO if lmask >> x & 1 else ONE for x in range(poset.n))
+    return LabeledPoint._of(
+        poset, tuple([ZERO if lmask >> x & 1 else ONE for x in range(poset.n)])
     )
 
 
 def ideal_of_indicator(f: LabeledPoint) -> frozenset[int]:
-    if any(v not in (ZERO, ONE) for v in f.values):
-        raise ValueError("not an indicator point")
-    members = [x for x, v in enumerate(f.values) if v == ZERO]
+    members = []
+    for x, v in enumerate(f.values):
+        n = v.numerator
+        if n not in (0, 1) or v.denominator != 1:
+            raise ValueError("not an indicator point")
+        if not n:
+            members.append(x)
     _ideal_mask(f.poset, members)
     return frozenset(members)
 
@@ -200,11 +271,6 @@ def _bi_toggled_rational(poset: Poset, vals: list, x: int) -> Fraction:
     if out == 0:
         raise ZeroInFieldError(f"toggling {x} produced zero")
     return out
-
-
-def _plan(poset: Poset, order: Iterable[int]) -> list:
-    """``(x, lower covers, upper covers)`` per toggle, in order."""
-    return [(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order]
 
 
 def _bi_run_modp(plan: list, a: list, b: list, p: int) -> None:
@@ -263,10 +329,10 @@ def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoi
         vals = list(f.values)
         for x in order:
             vals[x] = _bi_toggled_rational(poset, vals, x)
-        return LabeledPoint(poset, tuple(vals))
+        return LabeledPoint._of(poset, tuple(vals))
     a, b = list(f.values), [1] * poset.n
     _bi_run_modp(_plan(poset, order), a, b, f.p)
-    return LabeledPoint(poset, _normalised(a, b, f.p), "modp", f.p)
+    return LabeledPoint._of(poset, _normalised(a, b, f.p), "modp", f.p)
 
 
 def birational_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
@@ -292,7 +358,7 @@ def random_pl_point(poset: Poset, rng: random.Random) -> LabeledPoint:
     for x in range(poset.n):
         below = sum(w for y, w in enumerate(weights) if poset.le(y, x))
         vals.append(Fraction(below, total))
-    return LabeledPoint(poset, tuple(vals))
+    return LabeledPoint._of(poset, tuple(vals))
 
 
 def random_birational_point(
@@ -313,8 +379,8 @@ def random_birational_point(
 
     draws = [draw() for _ in range(poset.n)]
     if p is None:
-        return LabeledPoint(poset, tuple(Fraction(n, d) for n, d in draws))
-    return LabeledPoint(
+        return LabeledPoint._of(poset, tuple(Fraction(n, d) for n, d in draws))
+    return LabeledPoint._of(
         poset, tuple(n * pow(d, -1, p) % p for n, d in draws), "modp", p
     )
 
@@ -337,19 +403,35 @@ def _bits_of(vals) -> int:
 
 
 def _first_return(
-    f0: LabeledPoint, step: Callable, max_iter: int, track_bits: bool
-) -> tuple[Optional[int], Optional[int]]:
-    """The first i <= max_iter with step^i(f0) == f0 (None if there is
-    none), and the largest bit length seen if ``track_bits``."""
-    bits = _bits_of(f0.values) if track_bits else None
+    poset: Poset, order: Sequence[int], f0: LabeledPoint, max_iter: int
+) -> tuple[Optional[int], int]:
+    """The first i <= max_iter at which exact birational rowmotion along
+    ``order`` brings f0 back (None if there is none), and the largest
+    bit length seen."""
+    bits = _bits_of(f0.values)
     cur = f0
     for i in range(1, max_iter + 1):
-        cur = step(cur)
-        if track_bits:
-            bits = max(bits, _bits_of(cur.values))
+        cur = _bi_sweep(poset, cur, order)
+        bits = max(bits, _bits_of(cur.values))
         if cur.values == f0.values:
             return i, bits
     return None, bits
+
+
+def _first_return_pl(
+    poset: Poset, plan: list, start: tuple, max_iter: int
+) -> Optional[int]:
+    """`_first_return` for PL rowmotion, run on the numerators over the
+    start's common denominator: the start is checked once, and the
+    iterate is the start once their numerators agree."""
+    nums, d = _numerators(start)
+    _check_polytope(poset, nums, d)
+    first = list(nums)
+    for i in range(1, max_iter + 1):
+        _pl_run(plan, nums, d)
+        if nums == first:
+            return i
+    return None
 
 
 def _first_return_modp(
@@ -390,14 +472,12 @@ def order_search(
         raise ValueError("max_iter must be positive")
     if kind not in ("pl", "birational"):
         raise ValueError(f"unknown rowmotion kind {kind!r}")
-    step: Callable[[LabeledPoint], LabeledPoint]
     order = _extension(poset, None)[::-1]
     if kind == "pl":
         if f0 is not None:
             _require_rational(f0)
         if p is not None:
             raise ValueError("piecewise-linear search runs over the rationals")
-        step = lambda g: _pl_sweep(poset, g, order)
         make = random_pl_point
     else:
         if p is not None:
@@ -406,21 +486,22 @@ def order_search(
             if p is not None and p != f0.p:
                 raise ValueError("start point and search disagree on the modulus")
             p = f0.p
-        step = lambda g: _bi_sweep(poset, g, order)
         make = lambda ps, r: random_birational_point(ps, r, p)
     if f0 is None:
         if rng is None:
             raise ValueError("need a start point or an rng to draw one")
         f0 = make(poset, rng)
-    track_bits = f0.mode == "rational" and kind == "birational"
-    plan = _plan(poset, order) if f0.mode == "modp" else None
+    plan = _plan(poset, order)
     restarts = 0
     while True:
+        bits = None
         try:
-            if plan is None:
-                found, bits = _first_return(f0, step, max_iter, track_bits)
+            if kind == "pl":
+                found = _first_return_pl(poset, plan, f0.values, max_iter)
+            elif f0.mode == "modp":
+                found = _first_return_modp(plan, f0.values, f0.p, max_iter)
             else:
-                found, bits = _first_return_modp(plan, f0.values, f0.p, max_iter), None
+                found, bits = _first_return(poset, order, f0, max_iter)
         except ZeroInFieldError:
             if f0.mode != "modp" or rng is None:
                 raise

@@ -7,6 +7,7 @@ search.  None of it calls into the package, so agreement is meaningful.
 
 import itertools
 import random
+from fractions import Fraction
 
 POSET_COUNTS = [1, 2, 7, 40, 357, 4824]  # naturally labeled posets, n = 1..6
 TREE_COUNTS = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]  # plane trees, n = 1..10
@@ -270,3 +271,47 @@ def birational_search(n, rel, ext, p, rng, max_iter, start=None, max_retries=10)
                 return ("retries-exhausted", None, None, max_retries)
             restarts += 1
             start = draw()
+
+
+# -- piecewise-linear rowmotion, on Fractions --------------------------------
+
+def pl_check(n, rel, vals):
+    """Raise ValueError, in the package's wording, unless ``vals`` lies in
+    the order polytope: each value in [0, 1], then each cover in order."""
+    for x in range(n):
+        if not 0 <= vals[x] <= 1:
+            raise ValueError(f"value at {x} is outside [0, 1]")
+    for a, b in covers_of(n, rel):
+        if vals[a] > vals[b]:
+            raise ValueError(f"not order-preserving: f({a}) > f({b})")
+
+
+def pl_toggle(n, rel, vals, x):
+    """Toggle x, boundary values 0 and 1:
+    max(lower covers) + min(upper covers) - f(x)."""
+    pl_check(n, rel, vals)
+    covers = covers_of(n, rel)
+    lower = [vals[a] for a, b in covers if b == x]
+    upper = [vals[b] for a, b in covers if a == x]
+    out = list(vals)
+    out[x] = max(lower, default=Fraction(0)) + min(upper, default=Fraction(1)) - vals[x]
+    return out
+
+
+def pl_step(n, rel, vals, ext):
+    """PL rowmotion: toggle every element, the last of the linear
+    extension ``ext`` first."""
+    for x in reversed(ext):
+        vals = pl_toggle(n, rel, vals, x)
+    return vals
+
+
+def pl_search(n, rel, ext, start, max_iter):
+    """First return of PL rowmotion along ``ext`` to ``start``, as
+    ``(outcome, order, iterations)``."""
+    cur = list(start)
+    for i in range(1, max_iter + 1):
+        cur = pl_step(n, rel, cur, ext)
+        if cur == list(start):
+            return ("finite-order", i, i)
+    return ("no-repeat", None, max_iter)

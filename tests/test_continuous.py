@@ -37,6 +37,19 @@ NON_GRADED_TREES = (
 )
 
 
+def count_fractions(monkeypatch):
+    """A list that gets one entry per `Fraction` constructed from now on."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made
+
+
 def small_posets(max_n):
     out = []
     for n in range(1, max_n + 1):
@@ -62,6 +75,24 @@ class TestLabeledPoint:
         f = LabeledPoint(CHERRY, (8, -1, 3), "modp", 7)
         assert f.values == (1, 6, 3)
         assert f.mode_string() == "modp:7"
+
+    def test_modp_fraction_is_numerator_times_inverse_denominator(self):
+        vals = (Fraction(1, 2), Fraction(-3, 4), Fraction(14, 7))
+        f = LabeledPoint(CHERRY, vals, "modp", 7)
+        assert f.values == (4, 1, 2)  # 1/2 ≡ 4, -3/4 ≡ -3·2 ≡ 1, 14/7 = 2
+        assert LabeledPoint(CHERRY, f.values, "modp", 7) == f
+
+    def test_modp_denominator_divisible_by_p_is_rejected(self):
+        for v in (Fraction(1, 7), Fraction(3, 14)):
+            with pytest.raises(ValueError, match="7 divides its denominator"):
+                LabeledPoint(CHERRY, (1, v, 1), "modp", 7)
+
+    def test_modp_rejects_floats_and_strings(self):
+        for v in (2.7, 2.0, "3", None):
+            with pytest.raises(ValueError, match="ints or Fractions"):
+                LabeledPoint(CHERRY, (1, v, 1), "modp", 7)
+        with pytest.raises(ValueError):
+            LabeledPoint(CHERRY, (Fraction(1, 2), 2.7, "3"), "modp", 7)
 
     def test_modulus_must_be_prime(self):
         for p in (9, 1, 0, -7, 2**61 + 1, 7.0, None):
@@ -107,6 +138,13 @@ class TestPLToggle:
             for x in range(poset.n):
                 assert pl_toggle(poset, pl_toggle(poset, f, x), x) == f
 
+    def test_sweep_builds_one_fraction_per_value(self, monkeypatch):
+        grid = chain_product(2, 3)
+        f = random_pl_point(grid, random.Random(9))
+        made = count_fractions(monkeypatch)
+        pl_rowmotion(grid, f)
+        assert len(made) == grid.n
+
     def test_input_checks(self):
         with pytest.raises(ValueError):
             pl_toggle(CHERRY, LabeledPoint(CHERRY, (1, 2, 3), "modp", 7), 0)
@@ -138,6 +176,15 @@ class TestIndicatorPoints:
             for ideal in oracles.ideals(poset.n, rel):
                 moved = pl_rowmotion(poset, indicator_point(poset, ideal))
                 assert ideal_of_indicator(moved) == rho_ideal(poset, ideal)
+
+    def test_indicator_round_trip_builds_no_fraction(self, monkeypatch):
+        grid = chain_product(2, 3)
+        rel = oracles.relations_from_covers(grid.n, grid.covers)
+        made = count_fractions(monkeypatch)
+        for ideal in oracles.ideals(grid.n, rel):
+            moved = pl_rowmotion(grid, indicator_point(grid, ideal))
+            assert ideal_of_indicator(moved) == rho_ideal(grid, ideal)
+        assert made == []
 
     def test_pl_order_on_indicator_is_orbit_size(self):
         result = order_search(
@@ -411,3 +458,122 @@ class TestModpAgainstOracle:
             assert (result.outcome, result.iterations_used) == ("no-repeat", max_iter)
             counts.append(len(built))
         assert counts[0] == counts[1] <= 2
+
+
+# the values an order-preserving start is drawn from: mixed denominators
+# and both boundary values
+PL_VALUES = tuple(
+    Fraction(v) for v in ("0", "1/3", "5/12", "1/2", "7/12", "2/3", "3/4", "1")
+)
+
+
+def pl_start(rng, n, ext):
+    """Values drawn from PL_VALUES, ascending along ``ext``."""
+    drawn = sorted(rng.choice(PL_VALUES) for _ in range(n))
+    vals = [None] * n
+    for x, v in zip(ext, drawn):
+        vals[x] = v
+    return vals
+
+
+def message_of(step):
+    """The message of the ValueError ``step()`` raises, or None."""
+    try:
+        step()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestPLAgainstOracle:
+    """PL rowmotion against the Fraction-only oracle on every poset with at
+    most 5 elements."""
+
+    def universe(self):
+        return [
+            (poset, oracles.relations_from_covers(poset.n, poset.covers))
+            for poset in small_posets(5)
+        ]
+
+    def test_rowmotion_and_toggles(self):
+        rng = random.Random(1618)
+        denominators = set()
+        for poset, rel in self.universe():
+            n = poset.n
+            for _ in range(2):
+                ext = oracles.random_linear_extension(rng, n, rel)
+                vals = pl_start(rng, n, ext)
+                denominators.update(v.denominator for v in vals)
+                f = LabeledPoint(poset, tuple(vals))
+                got = pl_rowmotion(poset, f, ext)
+                assert list(got.values) == oracles.pl_step(n, rel, vals, ext), (
+                    poset.covers, vals, ext
+                )
+                assert all(type(v) is Fraction for v in got.values)
+                for x in range(n):
+                    want = oracles.pl_toggle(n, rel, vals, x)
+                    assert list(pl_toggle(poset, f, x).values) == want, (
+                        poset.covers, vals, x
+                    )
+        assert denominators == {1, 2, 3, 4, 12}
+
+    def test_points_outside_the_polytope(self):
+        rng = random.Random(1414)
+        messages = Counter()
+        for poset, rel in self.universe():
+            n = poset.n
+            ext = oracles.random_linear_extension(rng, n, rel)
+            vals = pl_start(rng, n, ext)
+            bad = [list(vals), list(vals)]
+            bad[0][rng.randrange(n)] = rng.choice((Fraction(-1, 3), Fraction(13, 12)))
+            if poset.covers:  # undo the order on one cover
+                a, b = rng.choice(poset.covers)
+                bad[1][a], bad[1][b] = Fraction(2, 3), Fraction(1, 2)
+            for vals in bad:
+                f = LabeledPoint(poset, tuple(vals))
+                want = message_of(lambda: oracles.pl_check(n, rel, vals))
+                if want is None:  # no cover to undo
+                    continue
+                for lift in (
+                    lambda: pl_rowmotion(poset, f, ext),
+                    lambda: pl_toggle(poset, f, rng.randrange(n)),
+                    lambda: order_search(poset, f, kind="pl", max_iter=3),
+                ):
+                    assert message_of(lift) == want, (poset.covers, vals)
+                messages[want.split()[0]] += 1
+        assert messages["value"] and messages["not"]
+
+    def test_order_search(self):
+        rng = random.Random(2236)
+        outcomes = Counter()
+        for poset, rel in self.universe():
+            ext = linear_extension(poset)
+            start_ext = oracles.random_linear_extension(rng, poset.n, rel)
+            vals = pl_start(rng, poset.n, start_ext)
+            result = order_search(
+                poset, LabeledPoint(poset, tuple(vals)), max_iter=12, kind="pl"
+            )
+            got = (result.outcome, result.order, result.iterations_used)
+            assert got == oracles.pl_search(poset.n, rel, ext, vals, 12), (
+                poset.covers, vals
+            )
+            outcomes[got[0]] += 1
+        assert outcomes["finite-order"] and outcomes["no-repeat"]
+
+    def test_search_builds_no_point_per_step(self, monkeypatch):
+        built = []
+        post_init = LabeledPoint.__post_init__
+        monkeypatch.setattr(
+            LabeledPoint,
+            "__post_init__",
+            lambda self: built.append(self) or post_init(self),
+        )
+        tree = parse_tree(NON_GRADED_TREES[0])
+        start = LabeledPoint(tree, random_pl_point(tree, random.Random(0)).values)
+        counts = []
+        for max_iter in (10, 1000):
+            built.clear()
+            result = order_search(tree, start, max_iter=max_iter, kind="pl")
+            assert (result.outcome, result.iterations_used) == ("no-repeat", max_iter)
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 1
