@@ -9,26 +9,31 @@ ideals, and orders are well defined.  Each map toggles every element
 once, top of a linear extension first; an explicit extension is checked
 (``ValueError`` if it is not one) and ``None`` means the default one.
 
-Scalar arithmetic is exact: `Fraction` values, or integers mod a prime
-for the fast screening path.  Iterating the birational map over the
-rationals blows up coefficient sizes quickly (the largest bit length
-seen is reported by `order_search`), which is why the prime-field mode
-exists.  The modulus must be prime (``ValueError`` otherwise), since
-the zero checks and the return test need a field.  A mod-p point is a
-tuple of residues, but the maps work on projective pairs ``(a, b)``
-with value ``a/b``: a toggle is a ratio of subtraction-free products
-(Einstein–Propp, arXiv:1310.5294; Grinberg–Roby, arXiv:1402.6178), so
-no inverse is taken per toggle.  `birational_rowmotion` and
-`birational_toggle` normalise once at the end; `order_search` never
-does, and compares ``a`` with ``start · b``.  A mod-p point takes ints
-and `Fraction`s (``num · den⁻¹``) and rejects any other value.
-
-A PL point holds `Fraction`s, but the PL maps run on integer numerators
+Every sweep turns its toggle order into one plan (`rowmotion._plan`)
+and runs one of three loops on it.  The PL loop `_pl_run`, which the
+ideal toggles of `rowmotion` run on too, works on integer numerators
 over the values' common denominator D: the toggle
 ``max(lo) + min(up) − f(x)`` keeps a value on the (1/D)-lattice, and the
 boundary values are 0 and D.  The polytope check reads the numerators,
-and the `Fraction`s are built once per call (`ZERO` and `ONE` when
-D = 1); `order_search` compares numerators and builds none per step.
+and the `Fraction`s are built once per call (`ZERO` and `ONE` when D = 1).
+
+Birational values are `Fraction`s, toggled by `_bi_run_rational`, or
+integers mod a prime for the fast screening path, toggled by
+`_bi_run_modp`; both raise the same zeros in the same order, the mod-p
+messages suffixed ``(mod p)``.  Exact coordinates blow up quickly (the
+largest bit length seen is reported by `order_search`), which is why
+the prime-field mode exists.  The modulus must be prime (``ValueError``
+otherwise), since the zero checks and the return test need a field.  A
+mod-p point is a tuple of residues, but the loop works on projective
+pairs ``(a, b)`` with value ``a/b``: a toggle is a ratio of
+subtraction-free products (Einstein–Propp, arXiv:1310.5294;
+Grinberg–Roby, arXiv:1402.6178), so no inverse is taken per toggle, and
+the public maps normalise once at the end.  A mod-p point takes ints and
+`Fraction`s (``num · den⁻¹``) and rejects any other value.
+
+`order_search` runs its loop on bare values and builds no point per
+step: it compares PL numerators, exact `Fraction`s, or mod-p pairs as
+``a`` against ``start · b``, never normalised.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import RetriesExhaustedError, ZeroInFieldError
 from .poset import Poset, _extension
-from .rowmotion import _ideal_mask
+from .rowmotion import _ideal_mask, _pl_run, _plan
 
 __all__ = [
     "LabeledPoint",
@@ -169,11 +174,6 @@ def _require_rational(f: LabeledPoint) -> None:
         raise ValueError("piecewise-linear rowmotion works over the rationals")
 
 
-def _plan(poset: Poset, order: Iterable[int]) -> list:
-    """``(x, lower covers, upper covers)`` per toggle, in order."""
-    return [(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order]
-
-
 def _numerators(vals: Sequence[Fraction]) -> tuple[list, int]:
     """The values as integer numerators over their common denominator D."""
     dens = [v.denominator for v in vals]
@@ -189,19 +189,6 @@ def _check_polytope(poset: Poset, nums: Sequence[int], d: int) -> None:
     for a, b in poset.covers:
         if nums[a] > nums[b]:
             raise ValueError(f"not order-preserving: f({a}) > f({b})")
-
-
-def _pl_run(plan: list, nums: list, d: int) -> None:
-    """Toggle along ``plan`` in place, the value at x being nums[x]/d.
-
-    ``max(lo) + min(up) − f(x)`` keeps every value on the (1/d)-lattice,
-    the boundary values 0 and d/d included, so the toggle is integer
-    arithmetic on the numerators.
-    """
-    for x, lo, up in plan:
-        big = max([nums[y] for y in lo]) if lo else 0
-        small = min([nums[z] for z in up]) if up else d
-        nums[x] = big + small - nums[x]
 
 
 def _fractions(nums: list, d: int) -> tuple:
@@ -259,18 +246,17 @@ def _require_nonzero(values) -> None:
         raise ZeroInFieldError("birational points must be nonzero everywhere")
 
 
-def _bi_toggled_rational(poset: Poset, vals: list, x: int) -> Fraction:
-    lo = poset.lower_covers[x]
-    up = poset.upper_covers[x]
-    num = sum(vals[y] for y in lo) if lo else ONE
-    recip = sum(1 / vals[z] for z in up) if up else ONE
-    den = vals[x] * recip
-    if den == 0:
-        raise ZeroInFieldError(f"reciprocal sum vanishes toggling {x}")
-    out = num / den
-    if out == 0:
-        raise ZeroInFieldError(f"toggling {x} produced zero")
-    return out
+def _bi_run_rational(plan: list, vals: list) -> None:
+    """Toggle the `Fraction`s ``vals`` along ``plan`` in place, with the
+    zero checks of `_bi_run_modp`, in its order."""
+    for x, lo, up in plan:
+        num = sum([vals[y] for y in lo]) if lo else ONE
+        recip = sum([1 / vals[z] for z in up]) if up else ONE
+        if not recip:
+            raise ZeroInFieldError(f"reciprocal sum vanishes toggling {x}")
+        if not num:
+            raise ZeroInFieldError(f"toggling {x} produced zero")
+        vals[x] = num / (vals[x] * recip)
 
 
 def _bi_run_modp(plan: list, a: list, b: list, p: int) -> None:
@@ -325,13 +311,13 @@ def _normalised(a: list, b: list, p: int) -> tuple:
 def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
     """Check that f is nonzero everywhere, then toggle along ``order``."""
     _require_nonzero(f.values)
+    plan = _plan(poset, order)
     if f.mode == "rational":
         vals = list(f.values)
-        for x in order:
-            vals[x] = _bi_toggled_rational(poset, vals, x)
+        _bi_run_rational(plan, vals)
         return LabeledPoint._of(poset, tuple(vals))
     a, b = list(f.values), [1] * poset.n
-    _bi_run_modp(_plan(poset, order), a, b, f.p)
+    _bi_run_modp(plan, a, b, f.p)
     return LabeledPoint._of(poset, _normalised(a, b, f.p), "modp", f.p)
 
 
@@ -402,18 +388,17 @@ def _bits_of(vals) -> int:
     )
 
 
-def _first_return(
-    poset: Poset, order: Sequence[int], f0: LabeledPoint, max_iter: int
-) -> tuple[Optional[int], int]:
+def _first_return(plan: list, start: tuple, max_iter: int) -> tuple[Optional[int], int]:
     """The first i <= max_iter at which exact birational rowmotion along
-    ``order`` brings f0 back (None if there is none), and the largest
-    bit length seen."""
-    bits = _bits_of(f0.values)
-    cur = f0
+    ``plan`` brings ``start`` back (None if there is none), and the
+    largest bit length seen.  The toggles keep a nonzero start nonzero."""
+    _require_nonzero(start)
+    first, vals = list(start), list(start)
+    bits = _bits_of(start)
     for i in range(1, max_iter + 1):
-        cur = _bi_sweep(poset, cur, order)
-        bits = max(bits, _bits_of(cur.values))
-        if cur.values == f0.values:
+        _bi_run_rational(plan, vals)
+        bits = max(bits, _bits_of(vals))
+        if vals == first:
             return i, bits
     return None, bits
 
@@ -472,7 +457,7 @@ def order_search(
         raise ValueError("max_iter must be positive")
     if kind not in ("pl", "birational"):
         raise ValueError(f"unknown rowmotion kind {kind!r}")
-    order = _extension(poset, None)[::-1]
+    plan = _plan(poset, reversed(_extension(poset, None)))
     if kind == "pl":
         if f0 is not None:
             _require_rational(f0)
@@ -491,7 +476,6 @@ def order_search(
         if rng is None:
             raise ValueError("need a start point or an rng to draw one")
         f0 = make(poset, rng)
-    plan = _plan(poset, order)
     restarts = 0
     while True:
         bits = None
@@ -501,7 +485,7 @@ def order_search(
             elif f0.mode == "modp":
                 found = _first_return_modp(plan, f0.values, f0.p, max_iter)
             else:
-                found, bits = _first_return(poset, order, f0, max_iter)
+                found, bits = _first_return(plan, f0.values, max_iter)
         except ZeroInFieldError:
             if f0.mode != "modp" or rng is None:
                 raise

@@ -52,6 +52,22 @@ def _node_mask(members: Iterable[int], n: float) -> int:
     return mask
 
 
+def _smallest_first_order(poset: "Poset") -> tuple[int, ...]:
+    """Topological order of the covers taking the smallest free id first;
+    it misses the elements on or above a directed cycle."""
+    indeg = [len(v) for v in poset.lower_covers]
+    heap = [x for x, d in enumerate(indeg) if not d]  # sorted, so a heap
+    out: list[int] = []
+    while heap:
+        x = heapq.heappop(heap)
+        out.append(x)
+        for y in poset.upper_covers[x]:
+            indeg[y] -= 1
+            if not indeg[y]:
+                heapq.heappush(heap, y)
+    return tuple(out)
+
+
 def _down_mask(poset: "Poset", mask: int) -> int:
     """The ideal generated by the elements of ``mask``, as a mask."""
     downm = 0
@@ -88,19 +104,11 @@ class Poset:
         self.lower_covers = tuple(tuple(sorted(v)) for v in lower)
         self.upper_covers = tuple(tuple(sorted(v)) for v in upper)
 
-        # Topological order (Kahn); a leftover element means a cycle.
-        indeg = [len(lower[i]) for i in range(n)]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        topo: list[int] = []
-        while queue:
-            x = queue.pop()
-            topo.append(x)
-            for y in self.upper_covers[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
+        # The default linear extension; a leftover element means a cycle.
+        topo = _smallest_first_order(self)
         if len(topo) != n:
             raise ValueError("cover relations contain a directed cycle")
+        self._linear_extension = topo
 
         down = [0] * n
         for x in topo:
@@ -225,7 +233,6 @@ class RootedTree(Poset):
         self.leaves = tuple(leaves)
         self.n_leaves = len(leaves)
         self.leaf_label = {node: k + 1 for k, node in enumerate(leaves)}
-        self.leaf_of_label = {k + 1: node for k, node in enumerate(leaves)}
 
         interval: list[tuple[int, int]] = [(0, 0)] * n
         for x in range(n - 1, -1, -1):
@@ -235,7 +242,6 @@ class RootedTree(Poset):
             else:
                 interval[x] = (interval[self.children[x][0]][0],
                                interval[self.children[x][-1]][1])
-        self.node_interval = tuple(interval)
 
         by_interval: dict[tuple[int, int], list[int]] = {}
         for x in range(n):
@@ -394,18 +400,7 @@ def chain_product(p: int, q: int) -> Poset:
 
 def linear_extension(poset: Poset) -> tuple[int, ...]:
     """Deterministic linear extension: smallest-id-first topological order."""
-    indeg = [len(poset.lower_covers[i]) for i in range(poset.n)]
-    heap = [i for i in range(poset.n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        x = heapq.heappop(heap)
-        out.append(x)
-        for y in poset.upper_covers[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(heap, y)
-    return tuple(out)
+    return poset._linear_extension
 
 
 def _extension(poset: Poset, extension: Optional[Sequence[int]]) -> tuple[int, ...]:

@@ -6,6 +6,10 @@ Rowmotion on antichains sends ``A`` to the minimal elements of the
 complement of the ideal it generates; on ideals it is the conjugate map
 ``L -> down_set(rho(max L))``, which also equals the composition of
 toggles along any linear extension, applied top element first.
+
+Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
+of the ideal's indicator point, 0 on the ideal and 1 off it; `rho_ideal`
+does not toggle, so it stays an independent check on them.
 """
 
 from __future__ import annotations
@@ -99,15 +103,29 @@ def rho_ideal(tree: Poset, ideal: Iterable[int]) -> frozenset[int]:
     return frozenset(_bits(_down_mask(tree, new)))
 
 
+def _plan(poset: Poset, order: Iterable[int]) -> list:
+    """``(x, lower covers, upper covers)`` per toggle, in order."""
+    return [(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order]
+
+
+def _pl_run(plan: list, nums: list, d: int) -> None:
+    """Toggle along ``plan`` in place, the value at x being nums[x]/d.
+
+    ``max(lo) + min(up) − f(x)`` keeps every value on the (1/d)-lattice,
+    the boundary values 0 and d/d included, so the toggle is integer
+    arithmetic on the numerators.
+    """
+    for x, lo, up in plan:
+        big = max([nums[y] for y in lo]) if lo else 0
+        small = min([nums[z] for z in up]) if up else d
+        nums[x] = big + small - nums[x]
+
+
 def _toggle_sweep(poset: Poset, lmask: int, order: Iterable[int]) -> frozenset[int]:
     """Toggle the ideal ``lmask`` at each element of ``order`` in turn."""
-    for x in order:
-        if lmask >> x & 1:
-            if not any(lmask >> z & 1 for z in poset.upper_covers[x]):
-                lmask ^= 1 << x
-        elif all(lmask >> y & 1 for y in poset.lower_covers[x]):
-            lmask ^= 1 << x
-    return frozenset(_bits(lmask))
+    nums = [(lmask >> x & 1) ^ 1 for x in range(poset.n)]
+    _pl_run(_plan(poset, order), nums, 1)
+    return frozenset([x for x, v in enumerate(nums) if not v])
 
 
 def toggle(poset: Poset, ideal: Iterable[int], x: int) -> frozenset[int]:

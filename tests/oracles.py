@@ -107,6 +107,12 @@ def rho_ideal(n, rel, ideal):
     return downset(n, rel, minimal_of(n, rel, comp))
 
 
+def toggle(n, rel, ideal, x):
+    """Flip the membership of x when that leaves an ideal, else keep it."""
+    flipped = frozenset(ideal) ^ {x}
+    return flipped if is_ideal(n, rel, flipped) else frozenset(ideal)
+
+
 def orbit(n, rel, antichain):
     seq = [frozenset(antichain)]
     cur = rho(n, rel, seq[0])
@@ -206,36 +212,61 @@ def interval_tilings(family, lo, hi):
     return out
 
 
-# -- birational rowmotion mod p, one inverse per toggle ----------------------
+# -- birational rowmotion, one inverse per toggle ----------------------------
 
 class FieldZero(Exception):
     """A toggle divided by zero or produced zero; the message says which
     and at what element, in the package's wording."""
 
 
-def birational_toggle(n, rel, vals, x, p):
-    """Toggle x mod the prime p, boundary values 1:
-    (sum of lower covers) / (f(x) * sum of inverses of upper covers)."""
+def birational_toggle(n, rel, vals, x, p=None):
+    """Toggle x, boundary values 1, over the rationals (``p`` None) or mod
+    the prime p: (sum of lower covers) / (f(x) * sum of inverses of upper
+    covers)."""
+    if p is None:
+        field, inverse, suffix = Fraction, lambda v: 1 / Fraction(v), ""
+    else:
+        field, suffix = (lambda v: v % p), f" (mod {p})"
+        inverse = lambda v: pow(v, -1, p)
     covers = covers_of(n, rel)
     lower = [a for a, b in covers if b == x]
     upper = [b for a, b in covers if a == x]
-    num = sum(vals[y] for y in lower) % p if lower else 1
-    recip = sum(pow(vals[z], -1, p) for z in upper) % p if upper else 1
+    num = field(sum(vals[y] for y in lower)) if lower else 1
+    recip = field(sum(inverse(vals[z]) for z in upper)) if upper else 1
     if recip == 0:
-        raise FieldZero(f"reciprocal sum vanishes toggling {x} (mod {p})")
+        raise FieldZero(f"reciprocal sum vanishes toggling {x}{suffix}")
     if num == 0:
-        raise FieldZero(f"toggling {x} produced zero (mod {p})")
+        raise FieldZero(f"toggling {x} produced zero{suffix}")
     out = list(vals)
-    out[x] = num * pow(vals[x] * recip, -1, p) % p
+    out[x] = field(num * inverse(vals[x] * recip))
     return out
 
 
-def birational_step(n, rel, vals, ext, p):
-    """Birational rowmotion mod p: toggle every element, the last of the
-    linear extension ``ext`` first."""
+def birational_step(n, rel, vals, ext, p=None):
+    """Birational rowmotion, over the rationals or mod p: toggle every
+    element, the last of the linear extension ``ext`` first."""
     for x in reversed(ext):
         vals = birational_toggle(n, rel, vals, x, p)
     return vals
+
+
+def exact_birational_search(n, rel, ext, start, max_iter):
+    """First return of birational rowmotion over the rationals along
+    ``ext`` to ``start``, as ``(outcome, order, max_bits)``, max_bits the
+    largest bit length of a numerator or denominator seen, the start's
+    included.  A zero raises FieldZero."""
+
+    def bits(vals):
+        return max(
+            max(v.numerator.bit_length(), v.denominator.bit_length()) for v in vals
+        )
+
+    seen = [[Fraction(v) for v in start]]
+    for i in range(1, max_iter + 1):
+        seen.append(birational_step(n, rel, seen[-1], ext))
+        if seen[-1] == seen[0]:
+            return ("finite-order", i, max(map(bits, seen)))
+    return ("no-repeat", None, max(map(bits, seen)))
 
 
 def birational_search(n, rel, ext, p, rng, max_iter, start=None, max_retries=10):

@@ -204,6 +204,12 @@ class TestBirational:
     def test_zero_values_rejected(self):
         with pytest.raises(ZeroInFieldError):
             birational_toggle(CHERRY, LabeledPoint(CHERRY, (0, 1, 1)), 0)
+        for f in (
+            LabeledPoint(CHERRY, (1, 1, 0)),
+            LabeledPoint(CHERRY, (1, 7, 1), "modp", 7),
+        ):
+            with pytest.raises(ZeroInFieldError, match="nonzero everywhere"):
+                order_search(CHERRY, f)
 
     def test_modp_matches_rational(self):
         rng = random.Random(11)
@@ -230,6 +236,11 @@ class TestBirational:
         with pytest.raises(ZeroInFieldError) as err:
             birational_toggle(bowtie, f, 2)
         assert str(err.value) == "toggling 2 produced zero (mod 5)"
+        # the same over the rationals: 1 - 1 and 1/1 - 1/1
+        f = LabeledPoint(bowtie, (1, -1, 2, 1, -1))
+        with pytest.raises(ZeroInFieldError) as err:
+            birational_toggle(bowtie, f, 2)
+        assert str(err.value) == "reciprocal sum vanishes toggling 2"
 
 
 class TestExtensions:
@@ -366,8 +377,8 @@ def modp_universe():
     return out
 
 
-def residues_or_zero(step):
-    """The residues ``step()`` gives, or the message of the zero it meets."""
+def values_or_zero(step):
+    """The values ``step()`` gives, or the message of the zero it meets."""
     try:
         out = step()
     except (ZeroInFieldError, oracles.FieldZero) as err:
@@ -390,18 +401,18 @@ class TestModpAgainstOracle:
                 ext = oracles.random_linear_extension(rng, n, rel)
                 vals = [rng.randrange(1, p) for _ in range(n)]
                 f = LabeledPoint(poset, tuple(vals), "modp", p)
-                want = residues_or_zero(
+                want = values_or_zero(
                     lambda: oracles.birational_step(n, rel, vals, ext, p)
                 )
-                assert residues_or_zero(
+                assert values_or_zero(
                     lambda: birational_rowmotion(poset, f, ext)
                 ) == want, (poset.covers, p, vals, ext)
                 seen.append(want)
                 for x in range(n):
-                    want = residues_or_zero(
+                    want = values_or_zero(
                         lambda: oracles.birational_toggle(n, rel, vals, x, p)
                     )
-                    assert residues_or_zero(
+                    assert values_or_zero(
                         lambda: birational_toggle(poset, f, x)
                     ) == want, (poset.covers, p, vals, x)
                     seen.append(want)
@@ -458,6 +469,100 @@ class TestModpAgainstOracle:
             assert (result.outcome, result.iterations_used) == ("no-repeat", max_iter)
             counts.append(len(built))
         assert counts[0] == counts[1] <= 2
+
+
+# signed values, so that cover sums can cancel and both kinds of zero occur
+SIGNED_VALUES = tuple(
+    Fraction(v) for v in ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "-1/3")
+)
+
+
+class TestExactAgainstOracle:
+    """Exact birational rowmotion against the Fraction oracle on every
+    poset with at most 4 elements."""
+
+    def universe(self):
+        return [
+            (poset, oracles.relations_from_covers(poset.n, poset.covers))
+            for poset in small_posets(4)
+        ]
+
+    def test_rowmotion_and_toggles(self):
+        rng = random.Random(1729)
+        seen = []
+        for poset, rel in self.universe():
+            n = poset.n
+            for _ in range(6):
+                ext = oracles.random_linear_extension(rng, n, rel)
+                vals = [rng.choice(SIGNED_VALUES) for _ in range(n)]
+                f = LabeledPoint(poset, tuple(vals))
+                want = values_or_zero(
+                    lambda: oracles.birational_step(n, rel, vals, ext)
+                )
+                assert values_or_zero(
+                    lambda: birational_rowmotion(poset, f, ext)
+                ) == want, (poset.covers, vals, ext)
+                seen.append(want)
+                for x in range(n):
+                    want = values_or_zero(
+                        lambda: oracles.birational_toggle(n, rel, vals, x)
+                    )
+                    assert values_or_zero(
+                        lambda: birational_toggle(poset, f, x)
+                    ) == want, (poset.covers, vals, x)
+                    seen.append(want)
+        zeros = {w.split()[0] for w in seen if isinstance(w, str)}
+        assert zeros == {"reciprocal", "toggling"}
+        assert all("mod" not in w for w in seen if isinstance(w, str))
+
+    def test_order_search(self):
+        rng = random.Random(1123)
+        outcomes = Counter()
+        for poset, rel in self.universe():
+            ext = linear_extension(poset)
+            for start in (random_birational_point(poset, rng), None):
+                if start is None:
+                    vals = [rng.choice(SIGNED_VALUES) for _ in range(poset.n)]
+                    start = LabeledPoint(poset, tuple(vals))
+                try:
+                    want = oracles.exact_birational_search(
+                        poset.n, rel, ext, start.values, 12
+                    )
+                except oracles.FieldZero as err:
+                    want = str(err)
+                try:
+                    result = order_search(poset, start, max_iter=12)
+                    got = (result.outcome, result.order, result.max_bits)
+                except ZeroInFieldError as err:
+                    got = str(err)
+                assert got == want, (poset.covers, start.values)
+                outcomes[got if isinstance(got, str) else got[0]] += 1
+        assert outcomes["finite-order"] and outcomes["no-repeat"]
+        assert any(key.startswith(("reciprocal", "toggling")) for key in outcomes)
+
+    def test_search_builds_no_point_per_step(self, monkeypatch):
+        # count points built either way, checked or not
+        built = []
+        post_init = LabeledPoint.__post_init__
+        of = LabeledPoint._of.__func__
+        monkeypatch.setattr(
+            LabeledPoint,
+            "__post_init__",
+            lambda self: built.append(self) or post_init(self),
+        )
+        monkeypatch.setattr(
+            LabeledPoint,
+            "_of",
+            classmethod(lambda cls, *args: built.append(args) or of(cls, *args)),
+        )
+        tree = parse_tree(NON_GRADED_TREES[0])
+        counts = []
+        for max_iter in (4, 24):
+            built.clear()
+            result = order_search(tree, max_iter=max_iter, rng=random.Random(7))
+            assert (result.outcome, result.iterations_used) == ("no-repeat", max_iter)
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 1
 
 
 # the values an order-preserving start is drawn from: mixed denominators

@@ -5,6 +5,7 @@ over every plane tree with at most MAX_N nodes.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -206,3 +207,16 @@ class TestEnumerationHelpers:
             rel = oracles.grid_relations(*pq)
             for a, b in rel:
                 assert ext.index(a) < ext.index(b)
+
+    def test_linear_extension_is_the_smallest_and_computed_once(self):
+        # smallest id first gives the lexicographically smallest extension;
+        # relabeling at random keeps the identity from being one
+        rng = random.Random(144)
+        for n in range(1, 6):
+            for natural in oracles.all_posets(n):
+                perm = rng.sample(range(n), n)
+                rel = {(perm[a], perm[b]) for a, b in natural}
+                poset = Poset(n, oracles.covers_of(n, rel))
+                ext = linear_extension(poset)
+                assert ext == min(oracles.linear_extensions(n, rel)), rel
+                assert linear_extension(poset) is ext

@@ -149,6 +149,22 @@ class TestToggles:
             ext = oracles.random_linear_extension(rng, n, rel)
             assert rho_via_toggles(tree, ideal, ext) == rho_ideal(tree, ideal)
 
+    def test_every_small_poset_against_the_oracle(self):
+        """Toggles and their sweeps on every poset with at most 5 elements,
+        not only trees, along random linear extensions."""
+        rng = random.Random(1597)
+        for n in range(1, 6):
+            for rel in oracles.all_posets(n):
+                poset = Poset(n, oracles.covers_of(n, rel))
+                for ideal in oracles.ideals(n, rel):
+                    for x in range(n):
+                        want = oracles.toggle(n, rel, ideal, x)
+                        assert toggle(poset, ideal, x) == want, (rel, ideal, x)
+                    want = oracles.rho_ideal(n, rel, ideal)
+                    ext = oracles.random_linear_extension(rng, n, rel)
+                    assert rho_via_toggles(poset, ideal, ext) == want, (rel, ideal, ext)
+                    assert rho_via_toggles(poset, ideal, None) == want
+
     def test_extension_validation(self):
         tree = parse_tree(STAR_332)
         with pytest.raises(ValueError):
