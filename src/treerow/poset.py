@@ -70,9 +70,12 @@ def _smallest_first_order(poset: "Poset") -> tuple[int, ...]:
 
 def _down_mask(poset: "Poset", mask: int) -> int:
     """The ideal generated by the elements of ``mask``, as a mask."""
+    down = poset.down
     downm = 0
-    for x in _bits(mask):
-        downm |= poset.down[x]
+    while mask:
+        low = mask & -mask
+        downm |= down[low.bit_length() - 1]
+        mask ^= low
     return downm
 
 

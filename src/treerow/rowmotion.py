@@ -44,18 +44,29 @@ def _checked_antichain(tree: Poset, mask: int) -> int:
     """``mask``, once checked to be an antichain of ``tree``."""
     if mask >> tree.n:
         raise ValueError(f"unknown node id {mask.bit_length() - 1}")
-    for x in _bits(mask):
-        if tree.down[x] & mask != 1 << x:
-            below = next(b for b in _bits(tree.down[x] & mask) if b != x)
+    down = tree.down
+    rest = mask
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        if down[x] & mask != low:
+            below = next(b for b in _bits(down[x] & mask) if b != x)
             raise ValueError(f"not an antichain: {below} < {x}")
+        rest ^= low
     return mask
 
 
 def _ideal_mask(poset: Poset, members: Iterable[int]) -> int:
     mask = _node_mask(members, poset.n)
-    for x in _bits(mask):
-        if poset.down[x] & mask != poset.down[x]:
+    down = poset.down
+    outside = ~mask
+    rest = mask
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        if down[x] & outside:
             raise ValueError(f"not an ideal: {x} is in but part of its down-set is not")
+        rest ^= low
     return mask
 
 
@@ -150,14 +161,36 @@ def rho_via_toggles(
     return _toggle_sweep(poset, _ideal_mask(poset, ideal), reversed(ext))
 
 
-def _lex_key(mask: int) -> list[int]:
-    """Sort key of a mask: its id list (a generator-built tuple holds more memory)."""
-    return list(_bits(mask))
+_CHR_TOP = 0x10FFFF  # the largest code point
+
+
+def _lex_order(mask: int) -> str:
+    """Sort key of a mask: strings in the order of the sorted id lists (a
+    prefix first), built by C-level calls whatever the number of bits.
+
+    A head for the lowest id, then one character per id from it up to the
+    largest, that one left out: "0" if the id is in the mask, "1" if not.
+    The end of the string marks the largest id, so a list that ends first
+    sorts first.  The head is ``chr(low)``; from the largest code point on
+    it is that code point ``q`` times, then ``chr(r)``, for
+    ``divmod(low, 0x10FFFF)``, so heads sort by value and none is a prefix
+    of another.
+    """
+    if not mask:
+        return ""
+    low = (mask & -mask).bit_length() - 1
+    rest = mask >> low
+    # flip the bits below the top one, which stays as bin()'s leading "1"
+    tail = bin(rest ^ ((1 << rest.bit_length() - 1) - 1))[:2:-1]
+    if low < _CHR_TOP:
+        return chr(low) + tail
+    q, r = divmod(low, _CHR_TOP)
+    return chr(_CHR_TOP) * q + chr(r) + tail
 
 
 def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """The cycle of masks rotated to start at its lex-smallest member."""
-    rep = cycle.index(min(cycle, key=_lex_key))
+    rep = cycle.index(min(cycle, key=_lex_order))
     return cycle[rep:] + cycle[:rep]
 
 
@@ -250,7 +283,7 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
         memo[x] = acc
         for c in kids:
             memo[c] = []  # free child lists as they are absorbed
-    memo[0].sort(key=_lex_key)  # every caller wants lex order
+    memo[0].sort(key=_lex_order)  # every caller wants lex order
     return memo[0]
 
 

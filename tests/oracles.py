@@ -219,16 +219,17 @@ class FieldZero(Exception):
     and at what element, in the package's wording."""
 
 
-def birational_toggle(n, rel, vals, x, p=None):
+def birational_toggle(n, rel, vals, x, p=None, covers=None):
     """Toggle x, boundary values 1, over the rationals (``p`` None) or mod
     the prime p: (sum of lower covers) / (f(x) * sum of inverses of upper
-    covers)."""
+    covers).  ``covers`` is ``covers_of(n, rel)``, found here if not given."""
     if p is None:
         field, inverse, suffix = Fraction, lambda v: 1 / Fraction(v), ""
     else:
         field, suffix = (lambda v: v % p), f" (mod {p})"
         inverse = lambda v: pow(v, -1, p)
-    covers = covers_of(n, rel)
+    if covers is None:
+        covers = covers_of(n, rel)
     lower = [a for a, b in covers if b == x]
     upper = [b for a, b in covers if a == x]
     num = field(sum(vals[y] for y in lower)) if lower else 1
@@ -245,8 +246,9 @@ def birational_toggle(n, rel, vals, x, p=None):
 def birational_step(n, rel, vals, ext, p=None):
     """Birational rowmotion, over the rationals or mod p: toggle every
     element, the last of the linear extension ``ext`` first."""
+    covers = covers_of(n, rel)
     for x in reversed(ext):
-        vals = birational_toggle(n, rel, vals, x, p)
+        vals = birational_toggle(n, rel, vals, x, p, covers)
     return vals
 
 

@@ -8,6 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_cases import CASES
 from treerow import cli
@@ -155,6 +157,77 @@ class TestExitCodes:
             main(["orbits", "--grid", "2x2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def reference_json(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# documents of the types the CLI writes; lists of int lists and long int
+# lists take the writer's fast paths
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+)
+DOCUMENTS = st.recursive(
+    SCALARS | st.lists(st.integers()) | st.lists(st.lists(st.integers(), max_size=4)),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer against ``json.dumps(obj, indent=2)``."""
+
+    def test_every_golden_document(self, monkeypatch):
+        docs = []
+        emit = cli._emit_json
+
+        def recording(obj):
+            docs.append(obj)
+            return emit(obj)
+
+        monkeypatch.setattr(cli, "_emit_json", recording)
+        for argv in CASES.values():
+            run(argv)
+        assert len(docs) == sum(n.endswith(".json") for n in CASES)
+        for doc in docs:
+            assert emit(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {},
+            [[]],
+            [[], []],
+            [[], [0], [1, 3, 5], []],
+            [True, 1, False, 0, None],
+            [[True], [1]],
+            {"": "", "k\u00e9y": "\"\\\n\t\u0001 \u00e9\u4e2d\U0001f600"},
+            [-1, 0, 2**64, -(2**100)],
+            {"a": [[1, 2], [3]], "b": {"c": []}, "d": [{}, [], ""]},
+        ],
+    )
+    def test_edge_documents(self, doc):
+        assert cli._emit_json(doc) == reference_json(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    def test_random_documents(self, doc):
+        assert cli._emit_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.5, [1, 2.0], (1, 2), [[1], (2,)], [[1, 0.5]], {1: 2}, {"a": {None: 1}}],
+    )
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli._emit_json(doc)
 
 
 class TestModuleEntryPoint:

@@ -13,7 +13,9 @@ from treerow import (
     all_orbits,
     enumerate_antichains,
     linear_extension,
+    make_family,
     orbit_of,
+    parse_family,
     parse_tree,
     rho_antichain,
     rho_ideal,
@@ -180,6 +182,20 @@ class TestOrbits:
         assert orb.antichains[0] == frozenset()
         assert orb.antichains == (frozenset(), frozenset({0}), frozenset({2, 4}))
         assert orb.size == 3 and orb.delta == 1
+        # ids at and past the largest code point still rotate by value
+        top = 0x10FFFF
+        cycles = [
+            [{top - 1}, {top}],
+            [{top + 1}, {top}],
+            [{2 * top}, {top + 5}],
+            [{top, top + 2}, {top, top + 1, 5 * top}, {top}],
+            [{top, top + 2}, {top, top + 1, 5 * top}],
+        ]
+        for cycle in cycles:
+            first = min(cycle, key=sorted)
+            for i in range(len(cycle)):
+                orb = Orbit.from_cycle(cycle[i:] + cycle[:i])
+                assert orb.antichains[0] == first
 
     def test_orbit_rejects_repeats(self):
         with pytest.raises(ValueError):
@@ -239,6 +255,24 @@ class TestOrbits:
             assert got == sorted(
                 oracles.antichains(tree.n, rel), key=sorted
             )
+        # the order, and orbit_of's rotation, on every plane tree with at
+        # most 9 nodes, and on ids past one byte
+        wide = [
+            RootedTree(parents)
+            for n in range(1, 10)
+            for parents in oracles.parent_vectors(n)
+        ]
+        wide += [
+            parse_tree("(" * 600 + ")" * 600),
+            make_family(parse_family("star:60,61")),
+        ]
+        for tree in wide:
+            got = enumerate_antichains(tree)
+            assert got == sorted(got, key=sorted)
+            assert len(got) == tree.count_antichains()
+            for orbit in all_orbits(tree):
+                members = orbit_of(tree, orbit.antichains[-1]).antichains
+                assert members[0] == min(members, key=sorted)
 
     def test_budget_enforced_before_enumeration(self):
         wide = parse_tree("(" + "()" * 25 + ")")  # 2^25 + 1 antichains

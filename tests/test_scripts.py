@@ -47,3 +47,20 @@ class TestSurveyFamilies:
             survey.main(["--only", "bogus"])
         assert exc.value.code == 2
         assert "unknown families: bogus" in capsys.readouterr().err
+
+
+class TestRegenGoldens:
+    def test_rewrites_every_golden_byte_for_byte(self, tmp_path, monkeypatch, capsys):
+        """One in-process main call per case, one after another, writes
+        each golden file exactly as it is checked in."""
+        regen = load("regen_goldens")
+        monkeypatch.setattr(regen, "ROOT", tmp_path)
+        (tmp_path / "tests").mkdir()
+        regen.regen()
+        golden = SCRIPTS.parent / "tests" / "golden"
+        written = tmp_path / "tests" / "golden"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in written.iterdir()) == names
+        for name in names:
+            assert (written / name).read_bytes() == (golden / name).read_bytes(), name
+        assert capsys.readouterr().out.count("wrote ") == len(names)
