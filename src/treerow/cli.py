@@ -32,7 +32,6 @@ from typing import Optional
 
 from .continuous import (
     DEFAULT_MAX_ITER,
-    _is_prime,
     order_search,
     random_birational_point,
     random_pl_point,
@@ -393,14 +392,8 @@ def _run_continuous(args, kind: str) -> tuple[str, int]:
         p = None
     elif args.mode.startswith("modp:"):
         p = int(args.mode[5:])
-        if not _is_prime(p):
-            raise SpecParseError(f"{p} is not prime")
-        if kind == "pl":
-            raise SpecParseError("pl runs over the rationals only")
     else:
         raise SpecParseError(f"unknown mode {args.mode!r}")
-    if args.max_iter < 1:
-        raise SpecParseError("--max-iter must be positive")
     rng = random.Random(args.seed)
     start = (
         random_pl_point(poset, rng)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import SpecParseError
 
@@ -34,12 +34,14 @@ __all__ = [
 ]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def _bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, in increasing order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _node_mask(members: Iterable[int], n: float) -> int:
@@ -203,10 +205,11 @@ class RootedTree(Poset):
             p = parents[i]
             if not isinstance(p, int):
                 raise ValueError(f"node {i} has no parent")
-            if p not in path:
+            while path and path[-1] != p:
+                path.pop()
+            if not path:
                 raise ValueError("ids are not in preorder: parent of "
                                  f"{i} must be an ancestor of {i - 1}")
-            del path[path.index(p) + 1:]
             path.append(i)
         self.parents = tuple(parents)
         super().__init__(n, ((parents[i], i) for i in range(1, n)))

@@ -161,36 +161,21 @@ def rho_via_toggles(
     return _toggle_sweep(poset, _ideal_mask(poset, ideal), reversed(ext))
 
 
-_CHR_TOP = 0x10FFFF  # the largest code point
-
-
-def _lex_order(mask: int) -> str:
-    """Sort key of a mask: strings in the order of the sorted id lists (a
-    prefix first), built by C-level calls whatever the number of bits.
-
-    A head for the lowest id, then one character per id from it up to the
-    largest, that one left out: "0" if the id is in the mask, "1" if not.
-    The end of the string marks the largest id, so a list that ends first
-    sorts first.  The head is ``chr(low)``; from the largest code point on
-    it is that code point ``q`` times, then ``chr(r)``, for
-    ``divmod(low, 0x10FFFF)``, so heads sort by value and none is a prefix
-    of another.
-    """
-    if not mask:
-        return ""
-    low = (mask & -mask).bit_length() - 1
-    rest = mask >> low
-    # flip the bits below the top one, which stays as bin()'s leading "1"
-    tail = bin(rest ^ ((1 << rest.bit_length() - 1) - 1))[:2:-1]
-    if low < _CHR_TOP:
-        return chr(low) + tail
-    q, r = divmod(low, _CHR_TOP)
-    return chr(_CHR_TOP) * q + chr(r) + tail
-
-
 def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """The cycle of masks rotated to start at its lex-smallest member."""
-    rep = cycle.index(min(cycle, key=_lex_order))
+    """The cycle of masks rotated to start at its lex-smallest member.
+
+    Two distinct masks agree on the ids below ``low``, the lowest id in
+    one and not the other.  The mask holding it is smaller unless the
+    other holds no larger id, for then the other's list is a prefix of
+    its own.
+    """
+    best, rep = cycle[0], 0
+    for i, m in enumerate(cycle):
+        low = m ^ best
+        low &= -low
+        above = -(low << 1)  # the ids past the first difference
+        if best & above if m & low else not m & above:
+            best, rep = m, i
     return cycle[rep:] + cycle[:rep]
 
 
@@ -247,7 +232,7 @@ class Orbit:
         return int(self.contains_root)
 
     def as_id_lists(self) -> list[list[int]]:
-        return [list(_bits(m)) for m in self.masks]
+        return [_bits(m) for m in self.masks]
 
 
 def orbit_of(tree: RootedTree, antichain: Iterable[int]) -> Orbit:
@@ -264,27 +249,30 @@ def enumerate_antichains(
 
 
 def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
+    """Every antichain mask, in lex order of the sorted id lists.
+
+    Preorder ids make each subtree a range of ids, so the ids larger than
+    ``x`` that are incomparable with it are exactly those past its
+    subtree, and they are incomparable with the earlier members of a list
+    ending in ``x`` too.  A depth-first walk that extends each list by
+    those ids in increasing order, and emits every list when it reaches
+    it, emits them sorted, each one before the lists it is a prefix of.
+    """
     total = tree.count_antichains()
     if total > budget:
         raise BudgetExceededError(total, budget)
-    # Antichains of the subtree at x: either {x}, or a union of one
-    # (possibly empty) antichain per child subtree.  A node with one child
-    # takes the child's list over instead of copying it.
-    memo: list[list[int]] = [[] for _ in range(tree.n)]
-    for x in range(tree.n - 1, -1, -1):
-        kids = tree.children[x]
-        if len(kids) == 1:
-            acc = memo[kids[0]]
-        else:
-            acc = [0]
-            for c in kids:
-                acc = [m | cm for m in acc for cm in memo[c]]
-        acc.append(1 << x)
-        memo[x] = acc
-        for c in kids:
-            memo[c] = []  # free child lists as they are absorbed
-    memo[0].sort(key=_lex_order)  # every caller wants lex order
-    return memo[0]
+    n = tree.n
+    # after[x]: the first id past x's subtree
+    after = [x + u.bit_count() for x, u in enumerate(tree.up)]
+    out, stack = [0], [(0, 0)]  # (mask so far, smallest id that may come next)
+    while stack:
+        mask, x = stack.pop()
+        if x < n:
+            stack.append((mask, x + 1))
+            mask |= 1 << x
+            out.append(mask)
+            stack.append((mask, after[x]))
+    return out
 
 
 def all_orbits(

@@ -56,9 +56,6 @@ class Tile:
     start: int  # column of the first cell, 0-based mod columns
     width: int
 
-    def columns(self, total: int) -> list[int]:
-        return [(self.start + o) % total for o in range(self.width)]
-
 
 @dataclass(frozen=True)
 class TilingReport:

@@ -61,6 +61,12 @@ class TestParseTree:
             RootedTree([0])
         with pytest.raises(ValueError):
             RootedTree([None, None])
+        with pytest.raises(ValueError):
+            RootedTree([None, 2, 0])  # a parent past its child
+        with pytest.raises(ValueError):
+            RootedTree([None, 1])  # a node its own parent
+        with pytest.raises(ValueError):
+            RootedTree([None, -1])
 
 
 class TestPoset:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from treerow import (
@@ -196,6 +198,25 @@ class TestOrbits:
             for i in range(len(cycle)):
                 orb = Orbit.from_cycle(cycle[i:] + cycle[:i])
                 assert orb.antichains[0] == first
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(
+                st.integers(0, 40) | st.integers(0x10FFFF - 3, 0x10FFFF + 3),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    def test_orbit_rotation_is_lex_smallest(self, cycle):
+        # small id ranges make prefix pairs such as {a} and {a, b} common
+        first = min(cycle, key=sorted)
+        for i in range(len(cycle)):
+            orb = Orbit.from_cycle(cycle[i:] + cycle[:i])
+            assert orb.antichains[0] == first
 
     def test_orbit_rejects_repeats(self):
         with pytest.raises(ValueError):
