@@ -145,11 +145,18 @@ FamilyDescriptor = Union[
 ]
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is ASCII digits only: ``int`` also reads ``٣``,
+    ``3_0``, ``+3`` and padding spaces, and ``str.isdigit`` passes ``٣``
+    and ``²``."""
+    return text.isascii() and text.isdigit()
+
+
 def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise SpecParseError(f"expected comma-separated integers, got {text!r}") from None
+    parts = text.split(",")
+    if not all(map(_is_decimal, parts)):
+        raise SpecParseError(f"expected comma-separated integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _int(text: str) -> int:

@@ -115,8 +115,8 @@ class Statistic:
 
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-])?((?P<coeff>\d+)\*)?(?P<atom>hatchi_x|chi_x|hatchi|chi)"
-    r"(:(?P<node>\d+))?"
+    r"(?P<sign>[+-])?((?P<coeff>[0-9]+)\*)?(?P<atom>hatchi_x|chi_x|hatchi|chi)"
+    r"(:(?P<node>[0-9]+))?"
 )
 
 
@@ -139,6 +139,7 @@ def parse_statistic(text: str) -> Statistic:
         if (node is None) == atom.endswith("_x"):
             raise SpecParseError(
                 f"{atom} {'needs' if atom.endswith('_x') else 'does not take'} a node id"
+                f" in {text!r}"
             )
         terms.append((coeff, atom, int(node) if node is not None else None))
         pos = m.end()

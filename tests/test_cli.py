@@ -1,5 +1,6 @@
 """CLI contract: golden outputs, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -128,6 +129,26 @@ class TestExitCodes:
         ["pl", "--grid", "2x2", "--mode", "modp:7"],
         ["pl", "--grid", "2x2", "--max-iter", "0"],
         ["birational", "--tree", "(())", "--grid", "2x2"],
+        ["pl", "--grid", "2x2", "--format", "csv"],
+        ["pl", "--grid", "2x2", "--format", "ascii"],
+        ["birational", "--grid", "2x2", "--format", "svg"],
+        # spec integers are ASCII decimal digits and nothing else
+        ["pl", "--grid", "\u0663x2"],
+        ["pl", "--grid", "\u00b2x2"],
+        [  # modp:10007 in Arabic-Indic digits
+            "birational",
+            "--grid",
+            "2x2",
+            "--mode",
+            "modp:\u0661\u0660\u0660\u0660\u0667",
+        ],
+        ["birational", "--grid", "2x2", "--mode", "modp:abc"],
+        ["birational", "--grid", "2x2", "--mode", "modp:+7"],
+        ["orbits", "--family", "star:\u0663,2"],
+        ["orbits", "--family", "star:3_0"],
+        ["orbits", "--family", "star: 3"],
+        ["orbits", "--family", "star:+3"],
+        ["stats", "--tree", "(())", "--stat", "chi_x:\u0663"],
     ]
 
     def test_usage_errors(self):
@@ -157,6 +178,92 @@ class TestExitCodes:
             main(["orbits", "--grid", "2x2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_budget_rejected_for_lifts(self, capsys):
+        # the lifts enumerate no antichains, so they take no --budget
+        with pytest.raises(SystemExit) as exc:
+            main(["pl", "--grid", "2x2", "--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def parse_outcome(parse, argv):
+    """Exit code, stdout, stderr and namespace of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code, ns = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+VERBS = sorted({argv[0] for argv in CASES.values()})
+PARSER_CASES = (
+    list(CASES.values())
+    + TestExitCodes.USAGE_CASES
+    + [[], ["-h"], ["--help"], ["bogus"], ["bogus", "--tree", "(())"]]
+    + [[verb, "-h"] for verb in VERBS]
+    + [[verb, "--help"] for verb in VERBS]
+    + [
+        ["stats", "--tree", "(())"],  # missing --stat
+        ["orbits", "--tree", "(())", "--format", "xml"],
+        ["orbits", "--tree", "(())", "--budget", "x"],
+        ["orbits", "--fam", "star:2,2"],  # abbreviated
+        ["pl", "--t", "x"],  # ambiguous: --tree or --timing
+        ["orbits", "extra", "--tree", "(())"],
+        ["orbits", "--tree", "(())", "extra"],
+        ["orbits", "--grid", "2x2"],
+        ["pl", "--grid", "2x2", "--budget", "5"],
+        ["--", "orbits", "--tree", "(())"],
+        ["orbits", "--", "--tree", "(())"],
+        ["orbits", "--tree", "(())", "--"],
+        ["-h", "orbits"],
+        ["orbits", "--tree", "(())", "-h"],
+    ]
+)
+
+
+class TestParser:
+    """``main`` builds one verb's parser; it must parse as the full one."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=map(repr, PARSER_CASES))
+    def test_matches_full_parser(self, argv):
+        full = parse_outcome(cli._build_parser().parse_args, argv)
+        assert parse_outcome(cli._parse_args, argv) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--tree", "(())"],
+            ["pl", "--grid", "2x2", "--timing"],
+            ["orbits", "--grid", "2x2"],
+            ["stats", "-h"],
+            [],
+        ],
+    )
+    def test_reads_sys_argv(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["treerow", *argv])
+        full = parse_outcome(cli._build_parser().parse_args, None)
+        assert parse_outcome(cli._parse_args, None) == full
+
+    def test_verb_call_builds_one_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = run(["orbits", "--tree", "(())"])
+        assert code == 0 and json.loads(out)["antichains"] == 3
+        assert built == ["treerow orbits"]
 
 
 def reference_json(obj):

@@ -76,6 +76,15 @@ class TestDescriptors:
             "zipper:2,3",
             "cbt:3,1",
             "spider:3",
+            # integers are ASCII decimal digits only
+            "star:\u0663,2",
+            "star:3_0",
+            "star: 3",
+            "star:+3",
+            "star:-3",
+            "tk:\u00b2",
+            "estar:b=\u0662;3,3",
+            "ecomb:n=3,k=+2",
         ):
             with pytest.raises(SpecParseError):
                 parse_family(bad)

@@ -60,7 +60,19 @@ class TestStatisticAlgebra:
         )
 
     def test_parse_errors(self):
-        for bad in ("", "chi_x", "hatchi:3", "2chi", "chi_y", "chi+", "chi 3"):
+        for bad in (
+            "",
+            "chi_x",
+            "hatchi:3",
+            "2chi",
+            "chi_y",
+            "chi+",
+            "chi 3",
+            "chi_x:\u0663",  # integers are ASCII decimal digits only
+            "\u0663*chi",
+            "2\u0663*chi",
+            "hatchi_x:1\u0663",
+        ):
             with pytest.raises(SpecParseError):
                 parse_statistic(bad)
 
