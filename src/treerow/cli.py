@@ -23,6 +23,14 @@ verb's options and help are the same either way.  The full parser is
 built only when the argument list does not start with a verb, holds
 ``--``, or leaves arguments the verb does not take: it then prints the
 top-level help or usage error, word for word as before.
+
+``_VERBS`` is the one verb table: each verb's row names its handler, its
+options and the formats it writes, the default first.  Usage is settled
+before any enumeration: ``main`` sets or refuses ``--format`` from the
+row before the handler runs, integer options take ASCII decimal digits
+only (argparse refuses the rest), and a statistic's node ids and the
+budget are checked before the first antichain is counted.  So a usage
+error exits 2 even on a tree far too large to enumerate.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ from .families import (
 from .poset import Poset, RootedTree, _bits, chain_product, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, Orbit, all_orbits
 from .stats import (
+    _check_nodes,
     _term_sums,
     check_homomesy,
     check_homometry,
@@ -76,6 +85,15 @@ RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
 
+def _decimal(text: str) -> int:
+    """An integer option, in ASCII decimal digits like the numbers in specs."""
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(
+            f"expected ASCII decimal digits, got {text!r}"
+        )
+    return int(text)
+
+
 # The options of each verb, in the order its help lists them.
 _OPTIONS = {
     "--tree": {"help": "tree in nested-parenthesis notation"},
@@ -86,10 +104,10 @@ _OPTIONS = {
         "choices": ["json", "csv", "ascii", "svg"],
         "help": "output format",
     },
-    "--budget": {"type": int, "default": DEFAULT_ANTICHAIN_BUDGET},
+    "--budget": {"type": _decimal, "default": DEFAULT_ANTICHAIN_BUDGET},
     "--stat": {"required": True, "help": "e.g. chi or 3*chi_x:4+1*chi_x:0"},
-    "--seed": {"type": int, "default": 0},
-    "--max-iter": {"type": int, "default": DEFAULT_MAX_ITER},
+    "--seed": {"type": _decimal, "default": 0},
+    "--max-iter": {"type": _decimal, "default": DEFAULT_MAX_ITER},
     "--mode": {"default": "rational", "help": "rational or modp:P (P prime)"},
     "--timing": {"action": "store_true", "help": "emit wall time"},
 }
@@ -106,21 +124,11 @@ _LIFT_VERB = (
     "--mode",
     "--timing",
 )
-_VERBS = {
-    "orbits": _TREE_VERB,
-    "tiling": _TREE_VERB,
-    "render": _TREE_VERB,
-    "verify": _TREE_VERB,
-    "stats": _STAT_VERB,
-    "homomesy": _STAT_VERB,
-    "homometry": _STAT_VERB,
-    "birational": _LIFT_VERB,
-    "pl": _LIFT_VERB,
-}
 
 
 def _add_options(parser: argparse.ArgumentParser, verb: str) -> None:
-    for name in _VERBS[verb]:
+    _, options, _ = _VERBS[verb]
+    for name in options:
         parser.add_argument(name, **_OPTIONS[name])
 
 
@@ -170,13 +178,6 @@ def _input_poset(args) -> tuple[Poset, str]:
     if not sep or not _is_decimal(p) or not _is_decimal(q):
         raise SpecParseError(f"grid wants PxQ, got {args.grid!r}")
     return chain_product(int(p), int(q)), f"grid:{int(p)}x{int(q)}"
-
-
-def _input_tree(args) -> tuple[RootedTree, str]:
-    poset, name = _input_poset(args)
-    if not isinstance(poset, RootedTree):
-        raise SpecParseError("this command needs a rooted tree")
-    return poset, name
 
 
 def _orbit_record(orbit: Orbit, oid: int) -> dict:
@@ -263,20 +264,10 @@ def _emit_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _format(args, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise SpecParseError(
-            f"format {fmt!r} not supported here (choose from {', '.join(allowed)})"
-        )
-    return fmt
-
-
 def _run_orbits(args) -> tuple[str, int]:
-    tree, name = _input_tree(args)
+    tree, name = _input_poset(args)
     orbits = all_orbits(tree, budget=args.budget)
-    fmt = _format(args, "json", ("json", "csv"))
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [
             (i, o.size, o.delta, " ".join(map(str, _bits(o.masks[0]))))
             for i, o in enumerate(orbits, start=1)
@@ -313,9 +304,8 @@ def _tiling_record(tree: RootedTree, orbit: Orbit, oid: int) -> dict:
 
 
 def _run_tiling(args) -> tuple[str, int]:
-    tree, name = _input_tree(args)
+    tree, name = _input_poset(args)
     orbits = all_orbits(tree, budget=args.budget)
-    _format(args, "json", ("json",))
     doc = {
         "tree": name,
         "tilings": [
@@ -326,28 +316,27 @@ def _run_tiling(args) -> tuple[str, int]:
 
 
 def _run_render(args) -> tuple[str, int]:
-    tree, name = _input_tree(args)
+    tree, name = _input_poset(args)
     orbits = all_orbits(tree, budget=args.budget)
-    fmt = _format(args, "ascii", ("ascii", "svg"))
     parts = []
     for i, orbit in enumerate(orbits, start=1):
         tiling = tiling_of_orbit(tree, orbit)
-        if fmt == "ascii":
+        if args.format == "ascii":
             parts.append(f"# orbit {i}: size {orbit.size}, delta {orbit.delta}")
-        parts.append(render_tiling(tiling, fmt).rstrip("\n"))
+        parts.append(render_tiling(tiling, args.format).rstrip("\n"))
     return "\n".join(parts) + "\n", 0
 
 
 def _run_stats(args) -> tuple[str, int]:
-    tree, name = _input_tree(args)
+    tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
+    _check_nodes(tree, stat)
     orbits = all_orbits(tree, budget=args.budget)
     rows = []
     for i, o in enumerate(orbits, start=1):
         total = sum(_term_sums(tree, stat, o.masks))
         rows.append((i, o.size, o.delta, total, Fraction(total, o.size)))
-    fmt = _format(args, "json", ("json", "csv"))
-    if fmt == "csv":
+    if args.format == "csv":
         return (
             _emit_csv(
                 ("orbit", "size", "delta", "sum", "average"),
@@ -373,10 +362,9 @@ def _run_stats(args) -> tuple[str, int]:
 
 
 def _run_homomesy(args) -> tuple[str, int]:
-    tree, name = _input_tree(args)
+    tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
     verdict = check_homomesy(tree, stat, budget=args.budget)
-    _format(args, "json", ("json",))
     doc = {"tree": name, "stat": stat.spec(), "homomesic": verdict.is_homomesic}
     if verdict.is_homomesic:
         doc["constant"] = str(verdict.constant)
@@ -393,10 +381,9 @@ def _run_homomesy(args) -> tuple[str, int]:
 
 
 def _run_homometry(args) -> tuple[str, int]:
-    tree, name = _input_tree(args)
+    tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
     verdict = check_homometry(tree, stat, budget=args.budget)
-    _format(args, "json", ("json",))
     doc = {"tree": name, "stat": stat.spec(), "homometric": verdict.is_homometric}
     if verdict.is_homometric:
         doc["table"] = {str(k): v for k, v in verdict.class_table.items()}
@@ -414,7 +401,6 @@ def _run_verify(args) -> tuple[str, int]:
         raise SpecParseError("verify works on --family descriptors")
     desc = parse_family(args.family)
     report = verify_family(desc, budget=args.budget)
-    _format(args, "json", ("json",))
     doc = {
         "family": report.descriptor,
         "ok": report.ok,
@@ -443,7 +429,6 @@ def _run_verify(args) -> tuple[str, int]:
 def _run_continuous(args) -> tuple[str, int]:
     kind = args.verb
     poset, name = _input_poset(args)
-    _format(args, "json", ("json",))
     if args.mode == "rational":
         p = None
     elif args.mode.startswith("modp:") and _is_decimal(args.mode[5:]):
@@ -478,23 +463,32 @@ def _run_continuous(args) -> tuple[str, int]:
     return _emit_json(doc), 0
 
 
-_DISPATCH = {
-    "orbits": _run_orbits,
-    "tiling": _run_tiling,
-    "render": _run_render,
-    "stats": _run_stats,
-    "homomesy": _run_homomesy,
-    "homometry": _run_homometry,
-    "verify": _run_verify,
-    "birational": _run_continuous,
-    "pl": _run_continuous,
+# verb: (handler, options in help order, formats with the default first)
+_VERBS = {
+    "orbits": (_run_orbits, _TREE_VERB, ("json", "csv")),
+    "tiling": (_run_tiling, _TREE_VERB, ("json",)),
+    "render": (_run_render, _TREE_VERB, ("ascii", "svg")),
+    "verify": (_run_verify, _TREE_VERB, ("json",)),
+    "stats": (_run_stats, _STAT_VERB, ("json", "csv")),
+    "homomesy": (_run_homomesy, _STAT_VERB, ("json",)),
+    "homometry": (_run_homometry, _STAT_VERB, ("json",)),
+    "birational": (_run_continuous, _LIFT_VERB, ("json",)),
+    "pl": (_run_continuous, _LIFT_VERB, ("json",)),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parse_args(argv)
+    run, _, formats = _VERBS[args.verb]
     try:
-        out, code = _DISPATCH[args.verb](args)
+        if args.format is None:
+            args.format = formats[0]
+        elif args.format not in formats:
+            raise SpecParseError(
+                f"format {args.format!r} not supported here"
+                f" (choose from {', '.join(formats)})"
+            )
+        out, code = run(args)
     except (SpecParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

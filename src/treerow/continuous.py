@@ -451,7 +451,7 @@ def order_search(
     the first return is the order of the start.  In mod-p mode a vanishing
     denominator is an artifact of the field; the search restarts with
     fresh random values, up to `max_retries` times.  A modulus ``p`` must
-    be prime.
+    be prime, and a start point given with it must live mod ``p`` too.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -467,7 +467,7 @@ def order_search(
     else:
         if p is not None:
             _require_prime(p)
-        if f0 is not None and f0.mode == "modp":
+        if f0 is not None:
             if p is not None and p != f0.p:
                 raise ValueError("start point and search disagree on the modulus")
             p = f0.p

@@ -258,6 +258,8 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     those ids in increasing order, and emits every list when it reaches
     it, emits them sorted, each one before the lists it is a prefix of.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     total = tree.count_antichains()
     if total > budget:
         raise BudgetExceededError(total, budget)

@@ -146,12 +146,19 @@ def parse_statistic(text: str) -> Statistic:
     return Statistic(tuple(terms))
 
 
-def _term_sums(tree: RootedTree, stat: Statistic, amasks, lmasks=None) -> Iterator[int]:
-    """Each term of ``stat`` with its coefficient, summed over unchecked antichain
-    masks; hatted atoms read their ideals ``lmasks``, worked out here if not given."""
-    for coeff, atom, node in stat.terms:
+def _check_nodes(tree: RootedTree, stat: Statistic) -> None:
+    """Refuse a statistic naming a node the tree does not have; callers
+    check once, before any enumeration."""
+    for _, _, node in stat.terms:
         if node is not None and not 0 <= node < tree.n:
             raise ValueError(f"unknown node id {node}")
+
+
+def _term_sums(tree: RootedTree, stat: Statistic, amasks, lmasks=None) -> Iterator[int]:
+    """Each term of ``stat`` with its coefficient, summed over unchecked antichain
+    masks; hatted atoms read their ideals ``lmasks``, worked out here if not given.
+    The node ids must have passed ``_check_nodes``."""
+    for coeff, atom, node in stat.terms:
         if atom.startswith("hat") and lmasks is None:
             lmasks = [_down_mask(tree, m) for m in amasks]
         masks = lmasks if atom.startswith("hat") else amasks
@@ -163,6 +170,7 @@ def _term_sums(tree: RootedTree, stat: Statistic, amasks, lmasks=None) -> Iterat
 
 def eval_statistic(tree: RootedTree, stat: Statistic, members) -> int:
     """Evaluate on an antichain (or an ideal, for all-hatted statistics)."""
+    _check_nodes(tree, stat)
     if stat.domain == "ideal":
         return sum(_term_sums(tree, stat, None, [_ideal_mask(tree, members)]))
     return sum(_term_sums(tree, stat, [_antichain_mask(tree, members)]))
@@ -170,6 +178,7 @@ def eval_statistic(tree: RootedTree, stat: Statistic, members) -> int:
 
 def orbit_sum(tree: RootedTree, stat: Statistic, orbit: Orbit) -> int:
     """Sum the statistic over the orbit (ideals read through A -> down(A))."""
+    _check_nodes(tree, stat)
     for m in orbit.masks:
         _checked_antichain(tree, m)
     return sum(_term_sums(tree, stat, orbit.masks))
@@ -218,6 +227,7 @@ class HomometryVerdict:
 def check_homomesy(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomomesyVerdict:
+    _check_nodes(tree, stat)
     orbits = all_orbits(tree, budget=budget)
     averages = [Fraction(sum(_term_sums(tree, stat, o.masks)), o.size) for o in orbits]
     for o, avg in zip(orbits[1:], averages[1:]):
@@ -231,6 +241,7 @@ def check_homometry(
 ) -> HomometryVerdict:
     """On failure the witness is canonical: the smallest offending orbit
     size, and within it the first disagreeing pair in enumeration order."""
+    _check_nodes(tree, stat)
     orbits = all_orbits(tree, budget=budget)
     by_size: dict[int, list[tuple[Orbit, int]]] = {}
     for o in orbits:

@@ -149,6 +149,13 @@ class TestExitCodes:
         ["orbits", "--family", "star: 3"],
         ["orbits", "--family", "star:+3"],
         ["stats", "--tree", "(())", "--stat", "chi_x:\u0663"],
+        # settled before any enumeration, on a tree no budget allows
+        ["orbits", "--family", "cbt:6", "--format", "ascii"],
+        ["homomesy", "--family", "cbt:6", "--stat", "chi", "--format", "csv"],
+        ["homomesy", "--family", "cbt:6", "--stat", "chi_x:999"],
+        ["stats", "--family", "cbt:6", "--stat", "chi_x:999"],
+        ["stats", "--tree", "(())", "--stat", "chi+hatchi_x:2"],
+        ["orbits", "--tree", "(())", "--budget", "0"],
     ]
 
     def test_usage_errors(self):
@@ -156,6 +163,39 @@ class TestExitCodes:
             code, out, err = run(argv)
             assert code == 2, argv
             assert out == "" and err.startswith("error:"), argv
+
+    def test_refused_format_does_no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("work done before the format was checked")
+
+        for name in (
+            "all_orbits",
+            "check_homomesy",
+            "check_homometry",
+            "verify_family",
+            "order_search",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+        refused = {
+            "orbits": ("ascii", "svg"),
+            "tiling": ("csv", "ascii", "svg"),
+            "render": ("json", "csv"),
+            "verify": ("csv", "ascii", "svg"),
+            "stats": ("ascii", "svg"),
+            "homomesy": ("csv", "ascii", "svg"),
+            "homometry": ("csv", "ascii", "svg"),
+            "birational": ("csv", "ascii", "svg"),
+            "pl": ("csv", "ascii", "svg"),
+        }
+        assert refused.keys() == cli._VERBS.keys()
+        for verb, formats in refused.items():
+            argv = [verb, "--family", "cbt:6"]
+            if verb in ("stats", "homomesy", "homometry"):
+                argv += ["--stat", "chi"]
+            for fmt in formats:
+                code, out, err = run(argv + ["--format", fmt])
+                assert code == 2, (verb, fmt)
+                assert out == "" and "not supported here" in err, (verb, fmt)
 
     def test_budget_exhaustion(self):
         code, out, err = run(["orbits", "--family", "comb:4", "--budget", "5"])
@@ -185,6 +225,23 @@ class TestExitCodes:
             main(["pl", "--grid", "2x2", "--budget", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--tree", "(())", "--budget", "\u0663"],
+            ["orbits", "--tree", "(())", "--budget", "-1"],
+            ["pl", "--grid", "2x2", "--seed", "\u0663"],
+            ["pl", "--grid", "2x2", "--seed", "-1"],
+            ["pl", "--grid", "2x2", "--max-iter", "1_0"],
+        ],
+    )
+    def test_integer_options_are_ascii_decimals(self, capsys, argv):
+        # argparse refuses them itself, as it does an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected ASCII decimal digits" in capsys.readouterr().err
 
 
 def parse_outcome(parse, argv):
@@ -216,6 +273,10 @@ PARSER_CASES = (
         ["orbits", "--tree", "(())", "extra"],
         ["orbits", "--grid", "2x2"],
         ["pl", "--grid", "2x2", "--budget", "5"],
+        ["orbits", "--tree", "(())", "--budget", "\u0663"],
+        ["orbits", "--tree", "(())", "--budget", "-1"],
+        ["pl", "--grid", "2x2", "--seed", "\u0663"],
+        ["pl", "--grid", "2x2", "--max-iter", "1_0"],
         ["--", "orbits", "--tree", "(())"],
         ["orbits", "--", "--tree", "(())"],
         ["orbits", "--tree", "(())", "--"],

@@ -330,6 +330,10 @@ class TestOrderSearch:
         assert result.mode == "modp:13"
         with pytest.raises(ValueError):
             order_search(grid, f, p=17)
+        # a rational start does not silently drop a modulus
+        exact = random_birational_point(grid, random.Random(3))
+        with pytest.raises(ValueError, match="disagree on the modulus"):
+            order_search(grid, exact, p=10007)
 
     def test_argument_errors(self):
         grid = chain_product(2, 2)

@@ -304,3 +304,11 @@ class TestOrbits:
         with pytest.raises(BudgetExceededError):
             all_orbits(parse_tree(STAR_332), budget=10)
         assert len(all_orbits(parse_tree(STAR_332), budget=19)) == 3
+
+    def test_budget_below_one_refused(self):
+        tree = parse_tree("(())")
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                all_orbits(tree, budget=budget)
+            with pytest.raises(ValueError, match="budget must be positive"):
+                enumerate_antichains(tree, budget=budget)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from treerow import (
+    CompleteBinary,
     Orbit,
     RootedTree,
     Statistic,
@@ -119,6 +120,9 @@ class TestEval:
             eval_statistic(STAR_332, Statistic.chi_x(6), set())
         with pytest.raises(ValueError):
             eval_statistic(STAR_332, Statistic.hatchi_x(17), set())
+        orbit = all_orbits(STAR_332)[0]
+        with pytest.raises(ValueError, match="unknown node id 6"):
+            orbit_sum(STAR_332, Statistic.hatchi() + Statistic.chi_x(6), orbit)
 
 
 class TestOrbitSums:
@@ -251,6 +255,26 @@ class TestHomometry:
         }
         expected = next(o for o in orbits if o.size == 4 and sums[o] != sums[first])
         assert second == expected
+
+
+class TestNodeIdsCheckedFirst:
+    """A statistic naming a node the tree lacks is refused once, before
+    any antichain is enumerated, even on a tree no budget allows."""
+
+    def test_no_enumeration_before_refusal(self, monkeypatch):
+        calls = []
+        masks = rowmotion._antichain_masks
+
+        def counted(tree, budget):
+            calls.append(tree.n)
+            return masks(tree, budget)
+
+        monkeypatch.setattr(rowmotion, "_antichain_masks", counted)
+        tree = make_family(CompleteBinary(6))  # about 4.4e22 antichains
+        for check in (check_homometry, check_homomesy):
+            with pytest.raises(ValueError, match="unknown node id 999"):
+                check(tree, Statistic.chi_x(999))
+        assert calls == []
 
 
 class TestEnumeratedOrbitsAreSummedUnchecked:
