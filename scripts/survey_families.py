@@ -36,6 +36,15 @@ DEFAULT_SWEEP = {
 }
 
 
+def _budget(text: str) -> int:
+    """A budget of at least 1, in ASCII decimal digits like the CLI's."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive ASCII decimal, got {text!r}"
+        )
+    return int(text)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -44,7 +53,7 @@ def main(argv=None):
     )
     ap.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=10**6,
         help="antichain enumeration budget per tree (default 1e6)",
     )

@@ -198,8 +198,15 @@ def _fractions(nums: list, d: int) -> tuple:
     return tuple([Fraction(n, d) for n in nums])
 
 
+def _require_on(poset: Poset, f: LabeledPoint) -> None:
+    """The point f lives on ``poset``: the same object, or an equal one."""
+    if f.poset is not poset and f.poset != poset:
+        raise ValueError("the point lives on another poset")
+
+
 def _pl_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
     """Check that f lies in the order polytope, then toggle along ``order``."""
+    _require_on(poset, f)
     _require_rational(f)
     nums, d = _numerators(f.values)
     _check_polytope(poset, nums, d)
@@ -310,6 +317,7 @@ def _normalised(a: list, b: list, p: int) -> tuple:
 
 def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoint:
     """Check that f is nonzero everywhere, then toggle along ``order``."""
+    _require_on(poset, f)
     _require_nonzero(f.values)
     plan = _plan(poset, order)
     if f.mode == "rational":
@@ -457,6 +465,8 @@ def order_search(
         raise ValueError("max_iter must be positive")
     if kind not in ("pl", "birational"):
         raise ValueError(f"unknown rowmotion kind {kind!r}")
+    if f0 is not None:
+        _require_on(poset, f0)
     plan = _plan(poset, reversed(_extension(poset, None)))
     if kind == "pl":
         if f0 is not None:

@@ -7,8 +7,12 @@ enumeration.  `verify_family` then diffs the prediction against brute
 force.  `combine_profiles` and `extend_root_transfer` are the two steps of
 one profile engine: the disjoint union of two trees (orbit sizes pair by
 gcd and lcm) and a chain put below a forest (only the orbit through the
-empty antichain grows).  `observed_profile` stays brute-force enumeration,
-the oracle that the closed forms and both steps are checked against.
+empty antichain grows).  The steps work on one table, (size, delta, chi,
+hatchi) -> count, and a chain's table is the root step applied to the
+empty forest's.  Classes are labelled O1, O2, ... once, when a step or
+`observed_profile` returns them.  `observed_profile` stays brute-force
+enumeration, the oracle that the closed forms and both steps are checked
+against.
 
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
@@ -17,7 +21,7 @@ and hatchi sums, and the predictor refuses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Union
@@ -311,7 +315,6 @@ class OrbitClass:
 @dataclass(frozen=True)
 class OrbitProfile:
     classes: tuple[OrbitClass, ...]
-    params: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_antichains(self) -> int:
@@ -429,24 +432,23 @@ def _zipper_classes(n: int) -> list[OrbitClass]:
     ]
 
 
-def _chain_profile(m: int) -> OrbitProfile:
-    return OrbitProfile(
-        (OrbitClass("L", m + 1, 1, m, comb(m + 1, 2), delta=1),),
-        {"l": m + 1, "b": m},
-    )
+_Table = dict[tuple[int, int, int, int], int]
+
+# the empty forest: one orbit, the empty antichain alone
+_EMPTY_FOREST: _Table = {(1, 1, 0, 0): 1}
 
 
 def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
     """Closed-form orbit table; refuses the complete binary tree."""
     if isinstance(desc, (Star, ExtendedStar)):
         b = desc.b if isinstance(desc, ExtendedStar) else 1
-        return OrbitProfile(
-            tuple(_star_classes(b, desc.alphas)),
-            {"l": lcm(*desc.alphas), "b": b},
-        )
+        return OrbitProfile(tuple(_star_classes(b, desc.alphas)))
     if isinstance(desc, ThreeLeaf):
         fork = predicted_profile(ExtendedStar(desc.b, (desc.c + 1, desc.d + 1)))
-        return combine_profiles(fork, _chain_profile(desc.e), desc.a)
+        side = _add_root(_EMPTY_FOREST, desc.e)  # the e-chain
+        return OrbitProfile(
+            _labeled(_add_root(_union(_normalize(fork.classes), side), desc.a))
+        )
     if isinstance(desc, Tk):
         k = desc.k
         classes = (
@@ -454,21 +456,30 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
             OrbitClass("M", 2 * k, k - 1, 5 * k - 4, (11 * k * k - 5 * k) // 2),
             OrbitClass("L", 3 * k, 1, 6 * k - 4, 6 * k * k - 3 * k, delta=1),
         )
-        return OrbitProfile(classes, {"b": k})
+        return OrbitProfile(classes)
     if isinstance(desc, Comb):
-        return OrbitProfile(tuple(_comb_classes(desc.n)), {"b": 1})
+        return OrbitProfile(tuple(_comb_classes(desc.n)))
     if isinstance(desc, ExtendedComb):
-        return OrbitProfile(tuple(_ecomb_classes(desc.n, desc.k)), {"b": 1})
+        return OrbitProfile(tuple(_ecomb_classes(desc.n, desc.k)))
     if isinstance(desc, Zipper):
-        return OrbitProfile(tuple(_zipper_classes(desc.n)), {"b": 1})
+        return OrbitProfile(tuple(_zipper_classes(desc.n)))
     raise UnsupportedFamilyError(
         f"no closed-form orbit table for {descriptor_string(desc)}"
     )
 
 
-def _labeled(table: dict[tuple[int, int, int, int], int]) -> tuple[OrbitClass, ...]:
-    """Classes of a (size, delta, chi, hatchi) -> count table: the delta
-    class first, then by key, labelled O1, O2, ..."""
+def _normalize(classes) -> _Table:
+    """The (size, delta, chi, hatchi) -> count table of some classes."""
+    out: _Table = {}
+    for c in classes:
+        key = (c.size, c.delta, c.chi, c.hatchi)
+        out[key] = out.get(key, 0) + c.count
+    return out
+
+
+def _labeled(table: _Table) -> tuple[OrbitClass, ...]:
+    """Classes of a table: the delta class first, then by key, labelled
+    O1, O2, ..."""
     return tuple(
         OrbitClass(f"O{idx}", size, count, chi, hatchi, delta)
         for idx, ((size, delta, chi, hatchi), count) in enumerate(
@@ -477,46 +488,42 @@ def _labeled(table: dict[tuple[int, int, int, int], int]) -> tuple[OrbitClass, .
     )
 
 
-def _union(left, right) -> tuple[OrbitClass, ...]:
-    """Orbit classes of the disjoint union of two trees.  Rowmotion acts
+def _union(left: _Table, right: _Table) -> _Table:
+    """Table of the disjoint union of two trees.  Rowmotion acts
     componentwise: orbits of sizes c' and c'' pair into gcd(c', c'') orbits
     of size lcm(c', c''), each side's sums repeated lcm/c times, and one
     of those from the two delta classes holds the empty antichain."""
-    table: dict[tuple[int, int, int, int], int] = {}
-    for cl in left:
-        for cr in right:
-            l = lcm(cl.size, cr.size)
-            g = gcd(cl.size, cr.size)
-            ql, qr = l // cl.size, l // cr.size
-            chi = ql * cl.chi + qr * cr.chi
-            hatchi = ql * cl.hatchi + qr * cr.hatchi
-            if cl.delta and cr.delta:
+    table: _Table = {}
+    for (sl, dl, chil, hatl), nl in left.items():
+        for (sr, dr, chir, hatr), nr in right.items():
+            l = lcm(sl, sr)
+            g = gcd(sl, sr)
+            ql, qr = l // sl, l // sr
+            chi = ql * chil + qr * chir
+            hatchi = ql * hatl + qr * hatr
+            if dl and dr:
                 table[(l, 1, chi, hatchi)] = 1
                 plain = g - 1
             else:
-                plain = cl.count * cr.count * g
+                plain = nl * nr * g
             if plain:
                 key = (l, 0, chi, hatchi)
                 table[key] = table.get(key, 0) + plain
-    return _labeled(table)
+    return table
 
 
-def _add_root(classes, k: int) -> tuple[OrbitClass, ...]:
-    """Orbit classes after putting a k-node chain below the forest.
+def _add_root(table: _Table, k: int) -> _Table:
+    """Table after putting a k-node chain below the forest.
 
     Only the orbit through the empty antichain changes size: it gains the
     k chain singletons, with ideals of 1..k nodes.  Every nonempty ideal
     of the forest gains the whole chain.
     """
-    return tuple(
-        replace(
-            c,
-            size=c.size + k * c.delta,
-            chi=c.chi + k * c.delta,
-            hatchi=c.hatchi + k * c.size + c.delta * comb(k, 2),
-        )
-        for c in classes
-    )
+    grown = comb(k, 2)
+    return {
+        (size + k * delta, delta, chi + k * delta, hatchi + k * size + delta * grown): n
+        for (size, delta, chi, hatchi), n in table.items()
+    }
 
 
 def combine_profiles(left: OrbitProfile, right: OrbitProfile, b: int) -> OrbitProfile:
@@ -526,7 +533,8 @@ def combine_profiles(left: OrbitProfile, right: OrbitProfile, b: int) -> OrbitPr
         raise ValueError("root branch size must be >= 1")
     left.delta_class()
     right.delta_class()
-    return OrbitProfile(_add_root(_union(left.classes, right.classes), b), {"b": b})
+    union = _union(_normalize(left.classes), _normalize(right.classes))
+    return OrbitProfile(_labeled(_add_root(union, b)))
 
 
 def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile:
@@ -534,14 +542,10 @@ def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile
     `combine_profiles`, applied to a whole tree."""
     if delta_beta < 0:
         raise ValueError("cannot shrink the root branch")
-    if "b" not in profile.params:
-        raise ValueError("profile does not carry its root branch size")
     if delta_beta == 0:
         return profile
     profile.delta_class()
-    params = dict(profile.params)
-    params["b"] += delta_beta
-    return OrbitProfile(_add_root(profile.classes, delta_beta), params)
+    return OrbitProfile(_labeled(_add_root(_normalize(profile.classes), delta_beta)))
 
 
 def observed_profile(
@@ -549,19 +553,11 @@ def observed_profile(
 ) -> OrbitProfile:
     """Brute-force orbit table: enumerate, sum, group."""
     chi_hatchi = Statistic.chi() + Statistic.hatchi()
-    table: dict[tuple[int, int, int, int], int] = {}
+    table: _Table = {}
     for orbit in all_orbits(tree, budget=budget):
         key = (orbit.size, orbit.delta, *_term_sums(tree, chi_hatchi, orbit.masks))
         table[key] = table.get(key, 0) + 1
     return OrbitProfile(_labeled(table))
-
-
-def _normalize(profile: OrbitProfile) -> dict[tuple[int, int, int, int], int]:
-    out: dict[tuple[int, int, int, int], int] = {}
-    for c in profile.classes:
-        key = (c.size, c.delta, c.chi, c.hatchi)
-        out[key] = out.get(key, 0) + c.count
-    return out
 
 
 @dataclass(frozen=True)
@@ -619,7 +615,7 @@ def verify_family(
             ),
         )
     predicted = predicted_profile(desc)
-    want, got = _normalize(predicted), _normalize(observed)
+    want, got = _normalize(predicted.classes), _normalize(observed.classes)
     diffs = tuple(
         ClassDiff(*key, want.get(key, 0), got.get(key, 0))
         for key in sorted(set(want) | set(got), key=lambda k: (-k[1], k))

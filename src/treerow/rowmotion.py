@@ -200,6 +200,8 @@ class Orbit:
 
     def __init__(self, antichains: Iterable[Iterable[int]]):
         masks = tuple([_node_mask(a, inf) for a in antichains])
+        if not masks:
+            raise ValueError("an orbit has at least one member")
         if len(set(masks)) != len(masks):
             raise ValueError("orbit members are not distinct")
         object.__setattr__(self, "masks", masks)

@@ -367,6 +367,40 @@ class TestOrderSearch:
             order_search(CHERRY, f, rng=random.Random(8), max_retries=0)
 
 
+class TestPointOnItsPoset:
+    """Every lift refuses a point drawn on another poset, and takes one
+    drawn on an equal poset built separately."""
+
+    def steps(self, poset, pl, bi):
+        return [
+            lambda: pl_toggle(poset, pl, 0),
+            lambda: pl_rowmotion(poset, pl),
+            lambda: birational_toggle(poset, bi, 0),
+            lambda: birational_rowmotion(poset, bi),
+            lambda: order_search(poset, pl, kind="pl", max_iter=2),
+            lambda: order_search(poset, bi, max_iter=2),
+        ]
+
+    def test_other_poset_refused(self):
+        grid = chain_product(2, 2)
+        for other in (parse_tree("(((())))"), parse_tree("(())")):
+            rng = random.Random(1)
+            pl = random_pl_point(other, rng)
+            bi = random_birational_point(other, rng)
+            for step in self.steps(grid, pl, bi):
+                with pytest.raises(ValueError, match="lives on another poset"):
+                    step()
+
+    def test_equal_poset_accepted(self):
+        rng = random.Random(1)
+        pl = random_pl_point(chain_product(2, 2), rng)
+        bi = random_birational_point(chain_product(2, 2), rng)
+        twin = chain_product(2, 2)
+        assert twin is not pl.poset and twin == pl.poset
+        for step in self.steps(twin, pl, bi):
+            step()
+
+
 def modp_universe():
     """Every poset with at most 5 elements and the non-graded trees, each
     with its strict relation."""

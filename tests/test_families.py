@@ -18,21 +18,13 @@ from treerow import (
     predicted_profile,
     verify_family,
 )
-from treerow import rowmotion
+from treerow import families, rowmotion
 from treerow.errors import (
     BudgetExceededError,
     SpecParseError,
     UnsupportedFamilyError,
 )
 from treerow.families import OrbitClass, OrbitProfile
-
-
-def _root_branch(tree):
-    """Nodes from the root down to the first one without exactly one child."""
-    x = 0
-    while len(tree.children[x]) == 1:
-        x = tree.children[x][0]
-    return x + 1
 
 
 def as_multiset(profile):
@@ -233,15 +225,17 @@ class TestProfileAlgebra:
             widened = extend_root_transfer(base, b - 1)
             target = predicted_profile(parse_family(f"estar:b={b};{alphas}"))
             assert as_multiset(widened) == as_multiset(target)
-            assert widened.params["b"] == b
+            labels = [c.label for c in widened.classes]
+            assert labels == [f"O{i}" for i in range(1, len(labels) + 1)]
 
     def test_extend_root_errors(self):
         profile = predicted_profile(parse_family("star:3,3"))
         with pytest.raises(ValueError):
             extend_root_transfer(profile, -1)
-        bare = OrbitProfile(profile.classes)  # params lost
-        with pytest.raises(ValueError):
-            extend_root_transfer(bare, 1)
+        # a profile needs no record of its root branch to be extended
+        bare = OrbitProfile(profile.classes)
+        target = predicted_profile(parse_family("estar:b=2;3,3"))
+        assert as_multiset(extend_root_transfer(bare, 1)) == as_multiset(target)
 
     def test_combine_matches_brute_force(self):
         """Both steps against enumeration: every pair of plane trees under
@@ -261,7 +255,6 @@ class TestProfileAlgebra:
                             )
                             direct = observed_profile(graft(left, right, b))
                             assert combined.classes == direct.classes
-                            assert combined.params == {"b": b}
                             cases += 1
         assert cases == 885
 
@@ -270,14 +263,29 @@ class TestProfileAlgebra:
         for n in range(1, 8):
             for parents in oracles.parent_vectors(n):
                 tree = RootedTree(parents)
-                profile = OrbitProfile(
-                    observed_profile(tree).classes, {"b": _root_branch(tree)}
-                )
+                profile = observed_profile(tree)
                 for d in (1, 2):
                     wide = parse_tree("(" * d + tree.to_spec() + ")" * d)
                     extended = extend_root_transfer(profile, d)
                     assert extended.classes == observed_profile(wide).classes
-                    assert extended.params == {"b": _root_branch(wide)}
+
+    def test_fold_matches_brute_force(self):
+        """Both steps folded over every plane tree with <= 9 nodes, nodes
+        with three or more children included: at each node the union of
+        the empty forest and every child's table, under one new node."""
+        trees = 0
+        for n in range(1, 10):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                tables = [None] * n
+                for x in reversed(range(n)):  # preorder: children come later
+                    table = families._EMPTY_FOREST
+                    for child in tree.children[x]:
+                        table = families._union(table, tables[child])
+                    tables[x] = families._add_root(table, 1)
+                assert families._labeled(tables[0]) == observed_profile(tree).classes
+                trees += 1
+        assert trees == 2056
 
     def test_combine_builds_zipper_table(self):
         for n in (1, 2):

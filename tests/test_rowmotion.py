@@ -222,6 +222,12 @@ class TestOrbits:
         with pytest.raises(ValueError):
             Orbit((frozenset(), frozenset({1}), frozenset()))
 
+    def test_orbit_rejects_no_members(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            Orbit([])
+        with pytest.raises(ValueError, match="at least one member"):
+            Orbit.from_cycle([])
+
     def test_orbit_of_matches_oracle(self):
         for parents, tree in TREES:
             rel = oracles.relations_from_parents(parents)

@@ -41,6 +41,14 @@ class TestSurveyFamilies:
         assert "comb:1" in out and " ok " in out
         assert "comb:6" in out and " SKIP " in out
 
+    def test_budget_must_be_positive(self, capsys):
+        survey = load("survey_families")
+        for bad in ("0", "-1", "1e3", "٣"):
+            with pytest.raises(SystemExit) as exc:
+                survey.main(["--only", "tk", "--budget", bad])
+            assert exc.value.code == 2
+            assert "argument --budget" in capsys.readouterr().err
+
     def test_unknown_family(self, capsys):
         survey = load("survey_families")
         with pytest.raises(SystemExit) as exc:
