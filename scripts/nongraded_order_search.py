@@ -3,9 +3,11 @@
 
 For each tree (random, or supplied via --tree) the map is iterated from
 random starting points, mod a large prime so coordinate size stays flat.
-A short exact-arithmetic run is also done to report how fast the numbers
-blow up.  Trees where every leaf sits at the same depth are skipped: on
-those the order is already known, the interesting ones are the rest.
+A short exact-arithmetic search is also run to report how fast the
+numbers blow up; it stops early once a coordinate passes the library's
+bit cap (`treerow.continuous.MAX_EXACT_BITS`).  Trees where every leaf
+sits at the same depth are skipped: on those the order is already
+known, the interesting ones are the rest.
 
     python3 scripts/nongraded_order_search.py --trials 20 --nodes 8
     python3 scripts/nongraded_order_search.py --tree "(()(()))" --max-iter 200000
@@ -15,35 +17,16 @@ import argparse
 import random
 import sys
 
-from treerow import (
-    RootedTree,
-    birational_rowmotion,
-    order_search,
-    parse_tree,
-    random_birational_point,
-)
+from treerow import RootedTree, order_search, parse_tree
 
 DEFAULT_PRIME = 2**61 - 1
 
 
-def exact_blowup_probe(tree, rng, max_steps, bit_cap):
-    """Iterate with exact rationals until coordinates pass ``bit_cap`` bits.
-
-    Growth is tree-dependent and can be savagely exponential, so the cap
-    is what actually terminates on the bad trees, not the step count.
-    """
-    f = random_birational_point(tree, rng)
-    bits = steps = 0
-    for _ in range(max_steps):
-        f = birational_rowmotion(tree, f)
-        steps += 1
-        bits = max(
-            max(v.numerator.bit_length(), v.denominator.bit_length())
-            for v in f.values
-        )
-        if bits > bit_cap:
-            break
-    return steps, bits
+def nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def leaf_depths(tree):
@@ -78,15 +61,9 @@ def main(argv=None):
     ap.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     ap.add_argument(
         "--exact-steps",
-        type=int,
+        type=nonnegative,
         default=50,
         help="max iterations of the exact-arithmetic blowup probe (0 disables)",
-    )
-    ap.add_argument(
-        "--bit-cap",
-        type=int,
-        default=20000,
-        help="stop the exact probe once a coordinate exceeds this many bits",
     )
     args = ap.parse_args(argv)
 
@@ -117,10 +94,13 @@ def main(argv=None):
         if res.restarts:
             line += f" ({res.restarts} restarts)"
         if args.exact_steps:
-            steps, bits = exact_blowup_probe(
-                tree, random.Random(args.seed), args.exact_steps, args.bit_cap
+            exact = order_search(
+                tree, rng=random.Random(args.seed), max_iter=args.exact_steps
             )
-            line += f"; exact probe -> {bits} bits in {steps} steps"
+            line += (
+                f"; exact probe -> {exact.max_bits} bits"
+                f" in {exact.iterations_used} steps"
+            )
         print(line)
     print(f"\nfinite order found on {found} tree(s)")
     return 0

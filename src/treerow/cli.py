@@ -47,12 +47,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .continuous import (
-    DEFAULT_MAX_ITER,
-    order_search,
-    random_birational_point,
-    random_pl_point,
-)
+from .continuous import DEFAULT_MAX_ITER, order_search
 from .errors import (
     BudgetExceededError,
     RetriesExhaustedError,
@@ -435,15 +430,9 @@ def _run_continuous(args) -> tuple[str, int]:
         p = int(args.mode[5:])
     else:
         raise SpecParseError(f"mode wants rational or modp:P, got {args.mode!r}")
-    rng = random.Random(args.seed)
-    start = (
-        random_pl_point(poset, rng)
-        if kind == "pl"
-        else random_birational_point(poset, rng, p)
-    )
     t0 = time.perf_counter()
     result = order_search(
-        poset, start, max_iter=args.max_iter, kind=kind, p=p, rng=rng
+        poset, max_iter=args.max_iter, kind=kind, p=p, rng=random.Random(args.seed)
     )
     elapsed = time.perf_counter() - t0
     doc = {

@@ -20,16 +20,18 @@ and the `Fraction`s are built once per call (`ZERO` and `ONE` when D = 1).
 Birational values are `Fraction`s, toggled by `_bi_run_rational`, or
 integers mod a prime for the fast screening path, toggled by
 `_bi_run_modp`; both raise the same zeros in the same order, the mod-p
-messages suffixed ``(mod p)``.  Exact coordinates blow up quickly (the
-largest bit length seen is reported by `order_search`), which is why
-the prime-field mode exists.  The modulus must be prime (``ValueError``
-otherwise), since the zero checks and the return test need a field.  A
-mod-p point is a tuple of residues, but the loop works on projective
-pairs ``(a, b)`` with value ``a/b``: a toggle is a ratio of
-subtraction-free products (Einstein–Propp, arXiv:1310.5294;
-Grinberg–Roby, arXiv:1402.6178), so no inverse is taken per toggle, and
-the public maps normalise once at the end.  A mod-p point takes ints and
-`Fraction`s (``num · den⁻¹``) and rejects any other value.
+messages suffixed ``(mod p)``.  Exact coordinates blow up quickly,
+which is why the prime-field mode exists: an exact `order_search`
+reports the largest bit length it saw, and gives up (``no-repeat``)
+after the step that takes a coordinate past `MAX_EXACT_BITS` bits.  The
+modulus must be prime (``ValueError`` otherwise), since the zero checks
+and the return test need a field.  A mod-p point is a tuple of
+residues, but the loop works on projective pairs ``(a, b)`` with value
+``a/b``: a toggle is a ratio of subtraction-free products
+(Einstein–Propp, arXiv:1310.5294; Grinberg–Roby, arXiv:1402.6178), so
+no inverse is taken per toggle, and the public maps normalise once at
+the end.  A mod-p point takes ints and `Fraction`s (``num · den⁻¹``)
+and rejects any other value.
 
 `order_search` runs its loop on bare values and builds no point per
 step: it compares PL numerators, exact `Fraction`s, or mod-p pairs as
@@ -62,10 +64,13 @@ __all__ = [
     "random_birational_point",
     "order_search",
     "DEFAULT_MAX_ITER",
+    "MAX_EXACT_BITS",
     "RANDOM_VALUE_RANGE",
 ]
 
 DEFAULT_MAX_ITER = 10**5
+# an exact search stops once a numerator or denominator passes this many bits
+MAX_EXACT_BITS = 20_000
 DEFAULT_MAX_RETRIES = 10
 # numerators and denominators of random starts are drawn uniformly here
 RANDOM_VALUE_RANGE = (1, 100)
@@ -383,11 +388,12 @@ def random_birational_point(
 class OrderSearchResult:
     outcome: str  # "finite-order" | "no-repeat"
     order: Optional[int]
-    iterations_used: int
+    iterations_used: int  # steps taken: the order, max_iter, or fewer at the bit cap
     kind: str  # "pl" | "birational"
     mode: str  # "rational" | "modp:P"
     restarts: int = 0
-    max_bits: Optional[int] = None  # largest num/den bit length encountered
+    # exact birational only: the largest num/den bit length seen
+    max_bits: Optional[int] = None
 
 
 def _bits_of(vals) -> int:
@@ -396,10 +402,14 @@ def _bits_of(vals) -> int:
     )
 
 
-def _first_return(plan: list, start: tuple, max_iter: int) -> tuple[Optional[int], int]:
+def _first_return(
+    plan: list, start: tuple, max_iter: int
+) -> tuple[Optional[int], int, int]:
     """The first i <= max_iter at which exact birational rowmotion along
-    ``plan`` brings ``start`` back (None if there is none), and the
-    largest bit length seen.  The toggles keep a nonzero start nonzero."""
+    ``plan`` brings ``start`` back (None if there is none), the steps
+    taken and the largest bit length seen.  The search stops after the
+    step that takes a coordinate past `MAX_EXACT_BITS` bits.  The toggles
+    keep a nonzero start nonzero."""
     _require_nonzero(start)
     first, vals = list(start), list(start)
     bits = _bits_of(start)
@@ -407,8 +417,10 @@ def _first_return(plan: list, start: tuple, max_iter: int) -> tuple[Optional[int
         _bi_run_rational(plan, vals)
         bits = max(bits, _bits_of(vals))
         if vals == first:
-            return i, bits
-    return None, bits
+            return i, i, bits
+        if bits > MAX_EXACT_BITS:
+            return None, i, bits
+    return None, max_iter, bits
 
 
 def _first_return_pl(
@@ -456,7 +468,9 @@ def order_search(
     """First return time to the start under repeated rowmotion.
 
     Iterates are compared to the start only: the maps are invertible, so
-    the first return is the order of the start.  In mod-p mode a vanishing
+    the first return is the order of the start.  An exact birational
+    search also gives up after the step that takes a coordinate past
+    `MAX_EXACT_BITS` bits.  In mod-p mode a vanishing
     denominator is an artifact of the field; the search restarts with
     fresh random values, up to `max_retries` times.  A modulus ``p`` must
     be prime, and a start point given with it must live mod ``p`` too.
@@ -488,14 +502,14 @@ def order_search(
         f0 = make(poset, rng)
     restarts = 0
     while True:
-        bits = None
+        used, bits = max_iter, None
         try:
             if kind == "pl":
                 found = _first_return_pl(poset, plan, f0.values, max_iter)
             elif f0.mode == "modp":
                 found = _first_return_modp(plan, f0.values, f0.p, max_iter)
             else:
-                found, bits = _first_return(plan, f0.values, max_iter)
+                found, used, bits = _first_return(plan, f0.values, max_iter)
         except ZeroInFieldError:
             if f0.mode != "modp" or rng is None:
                 raise
@@ -506,10 +520,8 @@ def order_search(
             restarts += 1
             f0 = make(poset, rng)
             continue
-        if found is None:
-            return OrderSearchResult(
-                "no-repeat", None, max_iter, kind, f0.mode_string(), restarts, bits
-            )
+        outcome = "no-repeat" if found is None else "finite-order"
+        used = used if found is None else found
         return OrderSearchResult(
-            "finite-order", found, found, kind, f0.mode_string(), restarts, bits
+            outcome, found, used, kind, f0.mode_string(), restarts, bits
         )

@@ -434,22 +434,24 @@ def _tile_counts(
 
 
 def render_tiling(tiling: Tiling, format: str = "ascii") -> str:
-    if format == "ascii":
-        return _render_ascii(tiling)
-    if format == "svg":
-        return _render_svg(tiling)
-    raise ValueError(f"unsupported render format {format!r}")
+    """Draw a tiling whose tiles cover its cylinder exactly, misshapen
+    or not; ``ValueError`` for any other tiling."""
+    if format not in ("ascii", "svg"):
+        raise ValueError(f"unsupported render format {format!r}")
+    cylinder = _cylinder(tiling.tree, tiling)
+    cells = cylinder.cells
+    if tiling.columns < 1 or cells is None or _EMPTY in cells:
+        raise ValueError("cannot render: the tiles do not cover the cylinder exactly")
+    render = _render_ascii if format == "ascii" else _render_svg
+    return render(tiling, cylinder)
 
 
-def _render_ascii(tiling: Tiling) -> str:
+def _render_ascii(tiling: Tiling, cylinder: _Cylinder) -> str:
     """One char per cell ('#' black, '.' yellow); '|' separates tiles,
     spaces join cells of one tile; '<'/'>' mark tiles crossing the seam."""
     c = tiling.columns
     n = tiling.rows
-    cylinder = _cylinder(tiling.tree, tiling)
     cells = cylinder.cells
-    if c < 1 or cells is None or _EMPTY in cells:
-        raise ValueError("cannot render: the tiles do not cover the cylinder exactly")
     black = cylinder.black
 
     def wraps(k: int) -> bool:
@@ -468,7 +470,7 @@ def _render_ascii(tiling: Tiling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(tiling: Tiling) -> str:
+def _render_svg(tiling: Tiling, cylinder: _Cylinder) -> str:
     """Deterministic SVG; seam-crossing tiles protrude half a cell."""
     size = 20
     pad = size // 2
@@ -498,15 +500,10 @@ def _render_svg(tiling: Tiling) -> str:
             parts.append(rect(tile.start, tile.interval[0], head + 0.5, h, fill))
             parts.append(rect(-0.5, tile.interval[0], tile.width - head + 0.5, h, fill))
 
-    cylinder = _cylinder(tiling.tree, tiling)
-    if cylinder.cells is None:  # the tiles overlap or leave the cylinder
-        for tile in _sorted_tiles(tiling.tiles):
-            draw(tile)
-    else:
-        for col, row, k in _first_cells(cylinder):
-            if k == _YELLOW:
-                parts.append(rect(col, row, 1, 1, "#ffeeaa"))
-            else:
-                draw(cylinder.black[k])
+    for col, row, k in _first_cells(cylinder):
+        if k == _YELLOW:
+            parts.append(rect(col, row, 1, 1, "#ffeeaa"))
+        else:
+            draw(cylinder.black[k])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

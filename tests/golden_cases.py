@@ -27,6 +27,7 @@ CASES = {
     "homometry_cbt3_hatchi.json": ["homometry", "--family", "cbt:3", "--stat", "hatchi"],
     "verify_tk2.json": ["verify", "--family", "tk:2"],
     "verify_zipper1.json": ["verify", "--family", "zipper:1"],
+    "verify_cbt3.json": ["verify", "--family", "cbt:3"],
     "birational_grid22.json": ["birational", "--grid", "2x2", "--seed", "1"],
     "birational_grid22_modp.json": [
         "birational", "--grid", "2x2", "--seed", "1", "--mode", "modp:10007",

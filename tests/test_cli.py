@@ -99,6 +99,21 @@ class TestOutputs:
         _, out, _ = run(["pl", "--tree", "(())", "--seed", "3"])
         assert json.loads(out)["order"] is not None
 
+    def test_exact_search_on_a_non_graded_tree_ends(self):
+        # no finite order is known here: the search stops at the bit cap
+        proc = subprocess.run(
+            [sys.executable, "-m", "treerow.cli", "birational", "--tree", "(()(()))"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["mode"], doc["outcome"], doc["order"]) == (
+            "rational", "no-repeat", None
+        )
+        assert (doc["iterations_used"], doc["max_bits"]) == (119, 20063)
+
     def test_verify_failure_exits_one(self, monkeypatch):
         import treerow.cli as cli
 

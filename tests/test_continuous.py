@@ -152,8 +152,10 @@ class TestPLToggle:
             pl_toggle(CHERRY, LabeledPoint(CHERRY, (0, 2, 1)), 0)
         with pytest.raises(ValueError):
             pl_toggle(CHERRY, LabeledPoint(CHERRY, (1, 0, 0)), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown node id 3"):
             pl_toggle(CHERRY, LabeledPoint(CHERRY, (0, 1, 1)), 3)
+        with pytest.raises(ValueError, match="unknown node id -1"):
+            birational_toggle(CHERRY, LabeledPoint(CHERRY, (1, 2, 3)), -1)
 
 
 class TestIndicatorPoints:
@@ -322,6 +324,26 @@ class TestOrderSearch:
         )
         assert result.outcome == "no-repeat"
         assert result.order is None and result.iterations_used == 3
+
+    def test_exact_search_stops_past_the_bit_cap(self):
+        result = order_search(parse_tree(NON_GRADED_TREES[0]), rng=random.Random(0))
+        assert (result.outcome, result.order) == ("no-repeat", None)
+        assert (result.iterations_used, result.max_bits) == (119, 20063)
+
+    def test_return_on_the_capping_step_counts(self, monkeypatch):
+        # on one element x -> 1/x: 1 is fixed, 2 has order 2, and with the
+        # cap at 0 bits every step passes it
+        monkeypatch.setattr(treerow.continuous, "MAX_EXACT_BITS", 0)
+        single = parse_tree("()")
+        fixed = order_search(single, LabeledPoint(single, (1,)), max_iter=5)
+        assert (fixed.outcome, fixed.order, fixed.iterations_used) == (
+            "finite-order", 1, 1
+        )
+        moved = order_search(single, LabeledPoint(single, (2,)), max_iter=5)
+        assert (moved.outcome, moved.order, moved.iterations_used) == (
+            "no-repeat", None, 1
+        )
+        assert moved.max_bits == 2
 
     def test_modulus_inherited_from_start(self):
         grid = chain_product(2, 2)

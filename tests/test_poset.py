@@ -77,6 +77,14 @@ class TestPoset:
     def test_redundant_cover_rejected(self):
         with pytest.raises(ValueError):
             Poset(3, [(0, 1), (1, 2), (0, 2)])
+        cases = [
+            (0, [], "at least one element"),
+            (2, [(0, 5)], r"cover \(0,5\) out of range"),
+            (2, [(1, 1)], r"reflexive cover \(1,1\)"),
+        ]
+        for n, covers, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Poset(n, covers)
 
     def test_le_and_extremes(self):
         p = Poset(4, [(0, 2), (1, 2), (2, 3)])

@@ -175,6 +175,8 @@ class TestToggles:
             rho_via_toggles(tree, set(), [0, 0, 1, 2, 3, 4])
         with pytest.raises(ValueError):
             rho_via_toggles(tree, set(), [1, 0, 2, 3, 4, 5])  # root after child
+        with pytest.raises(ValueError, match="unknown node id 5"):
+            toggle(parse_tree("(()())"), set(), 5)
 
 
 class TestOrbits:

@@ -23,7 +23,16 @@ class TestNongradedOrderSearch:
         assert search.main(argv) == 0
         out = capsys.readouterr().out
         assert "graded (leaf depth 2), skipped" in out
+        assert "exact probe -> 3559 bits in 50 steps" in out
         assert "finite order found on 0 tree(s)" in out
+
+    def test_exact_steps_must_be_nonnegative(self, capsys):
+        search = load("nongraded_order_search")
+        for bad in ("-1", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                search.main(["--trials", "0", "--exact-steps", bad])
+            assert exc.value.code == 2
+            assert "argument --exact-steps" in capsys.readouterr().err
 
 
 class TestSurveyFamilies:

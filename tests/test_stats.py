@@ -123,6 +123,8 @@ class TestEval:
         orbit = all_orbits(STAR_332)[0]
         with pytest.raises(ValueError, match="unknown node id 6"):
             orbit_sum(STAR_332, Statistic.hatchi() + Statistic.chi_x(6), orbit)
+        with pytest.raises(ValueError, match="unknown node id 7"):
+            orbit_sum(parse_tree("(()())"), Statistic.chi(), Orbit([{7}]))
 
 
 class TestOrbitSums:

@@ -76,12 +76,17 @@ class TestConstruction:
             tiling_of_orbit(parse_tree("(()())"), orbit)
 
     def test_rejects_unknown_node(self):
-        tree = parse_tree("(()())")
-        orbit = Orbit((frozenset(), frozenset({0}), frozenset({1, 7})))
-        with pytest.raises(
-            ValueError, match="orbit inconsistent with tree: unknown node 7"
-        ):
-            tiling_of_orbit(tree, orbit)
+        cases = [
+            ("(()())", [set(), {0}, {1, 7}], "unknown node 7"),
+            ("(())", [{1}], "a branch is not walked whole"),
+            ("((()))", [{0, 2}, {1}], "(1, 1)-tile wider than the orbit"),
+            ("(()())", [{0, 1}], "cell (1, 0) doubly covered"),
+        ]
+        for spec, members, fragment in cases:
+            with pytest.raises(ValueError) as err:
+                tiling_of_orbit(parse_tree(spec), Orbit(members))
+            assert str(err.value).startswith("orbit inconsistent with tree: ")
+            assert fragment in str(err.value)
 
 
 class TestValidateAndInvert:
@@ -146,6 +151,8 @@ class TestValidateAndInvert:
             (Tile("yellow", (1, 2), 0, 1), "1x1"),
             (Tile("yellow", (1, 1), 9, 1), "out of range"),
             (Tile("purple", (1, 1), 0, 1), "color"),
+            (Tile("black", (0, 1), 0, 1), "tile rows (0, 1) out of range"),
+            (Tile("black", (1, 1), 0, 9), "tile width 9 out of range"),
         ]
         for tile, fragment in cases:
             report = validate_tiling(
@@ -259,11 +266,15 @@ class TestRender:
 
     def test_refuses_a_tiling_that_does_not_cover_exactly(self):
         tiling = tiling_of_orbit(STAR_33, all_orbits(STAR_33)[2])
-        gap = Tiling(STAR_33, tiling.columns, tiling.tiles[1:])
-        doubled = Tiling(STAR_33, tiling.columns, tiling.tiles + tiling.tiles[:1])
-        for bad in (gap, doubled):
-            with pytest.raises(ValueError, match="cover"):
-                render_tiling(bad)
+        c = tiling.columns
+        gap = Tiling(STAR_33, c, tiling.tiles[1:])
+        doubled = Tiling(STAR_33, c, tiling.tiles + tiling.tiles[:1])
+        off = Tiling(STAR_33, c, tiling.tiles + (Tile("yellow", (1, 1), 9, 1),))
+        no_columns = Tiling(STAR_33, 0, ())
+        for bad in (gap, doubled, off, no_columns):
+            for format in ("ascii", "svg"):
+                with pytest.raises(ValueError, match="do not cover the cylinder"):
+                    render_tiling(bad, format)
 
     def test_unknown_format(self):
         tiling = tiling_of_orbit(STAR_33, all_orbits(STAR_33)[0])
@@ -343,6 +354,9 @@ class TestTwoRoutes:
         report = validate_tiling(STAR_33, tiling)
         assert report.violation == "(2, 2)-tile at column 1 has width 1, expected 2"
         assert render_tiling(tiling) == "|# #|#|\n<#|#|#>\n"
+        # background + 3 plain tiles + the wrapping tile split in two
+        svg = render_tiling(tiling, "svg")
+        assert svg.count("<rect") == 6 and svg.count("#444444") == 5
 
 
 class TestCountsNeedAValidTiling:
