@@ -22,11 +22,19 @@ from treerow import RootedTree, order_search, parse_tree
 DEFAULT_PRIME = 2**61 - 1
 
 
-def nonnegative(text):
+def at_least(text, low):
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def nonnegative(text):
+    return at_least(text, 0)
+
+
+def positive(text):
+    return at_least(text, 1)
 
 
 def leaf_depths(tree):
@@ -54,10 +62,10 @@ def random_tree(rng, n):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", default=[], help="tree spec, repeatable")
-    ap.add_argument("--trials", type=int, default=10, help="random trees to draw")
-    ap.add_argument("--nodes", type=int, default=8, help="nodes per random tree")
+    ap.add_argument("--trials", type=nonnegative, default=10, help="random trees to draw")
+    ap.add_argument("--nodes", type=positive, default=8, help="nodes per random tree")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-iter", type=int, default=10**5)
+    ap.add_argument("--max-iter", type=positive, default=10**5)
     ap.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     ap.add_argument(
         "--exact-steps",

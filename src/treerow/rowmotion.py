@@ -7,6 +7,13 @@ complement of the ideal it generates; on ideals it is the conjugate map
 ``L -> down_set(rho(max L))``, which also equals the composition of
 toggles along any linear extension, applied top element first.
 
+`all_orbits` takes no rowmotion step.  Rowmotion acts componentwise on a
+forest, so it joins the cycles of sibling subtrees (`_join`), and a root
+below a forest only puts ``{root}`` just after ``{}`` in the cycle through
+``{}``; it builds each tree's orbits that way from its leaves up.
+`orbit_of` still takes rowmotion steps, and `enumerate_antichains` still
+walks the antichains one by one.
+
 Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
 of the ideal's indicator point, 0 on the ideal and 1 off it; `rho_ideal`
 does not toggle, so it stays an independent check on them.
@@ -15,7 +22,8 @@ does not toggle, so it stays an independent check on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import gcd, inf
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -179,6 +187,18 @@ def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[rep:] + cycle[:rep]
 
 
+# id x in the mask -> "0" at index x, not in it -> "1", up to the largest
+_LEX_DIGITS = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    """A sort key of a nonempty mask that orders masks as their sorted id
+    lists.  At the first id where two masks differ, the one holding it
+    has the smaller digit, unless the other holds no larger id; then the
+    other's key is a prefix of its own, so it sorts first."""
+    return bin(mask)[:1:-1].translate(_LEX_DIGITS)
+
+
 def _cycle(tree: Poset, start: int) -> tuple[int, ...]:
     """The rowmotion cycle through the antichain mask ``start``, from it."""
     cycle = [start]
@@ -250,6 +270,15 @@ def enumerate_antichains(
     return [frozenset(_bits(m)) for m in _antichain_masks(tree, budget)]
 
 
+def _check_budget(tree: RootedTree, budget: int) -> None:
+    """Refuse ``budget < 1``, or a tree with more antichains than it."""
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+    total = tree.count_antichains()
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+
+
 def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     """Every antichain mask, in lex order of the sorted id lists.
 
@@ -260,11 +289,7 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     those ids in increasing order, and emits every list when it reaches
     it, emits them sorted, each one before the lists it is a prefix of.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    total = tree.count_antichains()
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    _check_budget(tree, budget)
     n = tree.n
     # after[x]: the first id past x's subtree
     after = [x + u.bit_count() for x, u in enumerate(tree.up)]
@@ -279,19 +304,76 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     return out
 
 
+def _join(left: list, right: list) -> list:
+    """The cycles of the disjoint union of two forests, from each one's.
+
+    Rowmotion acts componentwise, so cycles ``A`` and ``B`` of sizes a and
+    b give gcd(a, b) cycles of size lcm(a, b), cycle s running through
+    ``A[t mod a] | B[(t + s) mod b]``.  The forests' ids are disjoint, so
+    the union of two antichains is an OR.  The cycle through both empty
+    antichains (s = 0 of the two delta cycles) comes first, from index 0.
+    """
+    out = []
+    for a in left:
+        size_a = len(a)
+        for b in right:
+            size_b = len(b)
+            g = gcd(size_a, size_b)
+            reps_b = size_a // g  # lcm / size_b
+            a_run = a * (size_b // g)
+            if g == 1:
+                out.append(list(map(or_, a_run, b * reps_b)))
+            else:
+                for s in range(g):
+                    out.append(list(map(or_, a_run, (b[s:] + b[:s]) * reps_b)))
+    return out
+
+
 def all_orbits(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> tuple[Orbit, ...]:
-    """Partition all antichains into orbits, ordered by representative."""
-    seen: set[int] = set()
-    orbits: list[Orbit] = []
-    for start in _antichain_masks(tree, budget):
-        if start in seen:
-            continue
-        # Every earlier antichain lies in an earlier orbit, so this one is
-        # already the lex-smallest member of its own: the cycle as traced
-        # is canonically rotated.
-        cycle = _cycle(tree, start)
-        seen.update(cycle)
-        orbits.append(Orbit._of(cycle))
-    return tuple(orbits)
+    """Partition all antichains into orbits, ordered by representative.
+
+    The orbits are built from the subtrees' cycles, with no rowmotion
+    step.  The antichains of a tree are ``{root}`` and those of the forest
+    of its children, on which rowmotion acts as on the forest, except
+    that ``{}`` goes to ``{root}`` and ``{root}`` to the forest's roots.
+    So a root below a forest inserts ``{root}`` just after ``{}`` in the
+    forest's delta cycle and leaves every other cycle as it is; a branch
+    of one-child nodes ``x < ... < j`` inserts ``{x}, ..., {j}`` at once.
+    Siblings are joined by :func:`_join`.  The delta cycle starts at
+    ``{}``, the lex-smallest antichain, so it is already canonical and
+    comes first; every other cycle is rotated to its lex-smallest member
+    (``_canonical``), and they are sorted by it.  That is the rotation
+    and the order in which a lex walk of the antichains, stepping round
+    each orbit it has not seen, would meet them.
+    """
+    _check_budget(tree, budget)
+    children = tree.children
+    # built[x]: the cycles of x's subtree, its delta cycle first with {}
+    # at index 0; kept until x's parent takes them.  They are lists: the
+    # freed ones go back to the allocator, where tuples would stay on
+    # CPython's per-size free lists and raise the peak memory.
+    built: dict[int, list] = {}
+    for j in range(tree.n - 1, -1, -1):
+        kids = children[j]
+        if len(kids) == 1:
+            continue  # a branch is built from its deepest node
+        top = j
+        while top and len(children[top - 1]) == 1:
+            top -= 1
+        # {top}, ..., {j} go just after {}; most branches are one node
+        singles = [1 << x for x in range(top, j + 1)] if top < j else [1 << j]
+        if kids:
+            cycles = built.pop(kids[0])
+            for c in kids[1:]:
+                cycles = _join(cycles, built.pop(c))
+            cycles[0][1:1] = singles
+        else:
+            cycles = [[0, *singles]]
+        built[top] = cycles
+    delta, *rest = built[0]
+    rest = list(map(_canonical, map(tuple, rest)))
+    if len(rest) > 1:
+        rest.sort(key=lambda c: _lex_key(c[0]))
+    return (Orbit._of(tuple(delta)), *map(Orbit._of, rest))

@@ -18,7 +18,7 @@ from treerow import (
     predicted_profile,
     verify_family,
 )
-from treerow import families, rowmotion
+from treerow import families, rowmotion, stats
 from treerow.errors import (
     BudgetExceededError,
     SpecParseError,
@@ -338,13 +338,15 @@ class TestVerify:
 
     def test_complete_binary_enumerates_once(self, monkeypatch):
         calls = []
-        masks = rowmotion._antichain_masks
+        build = rowmotion.all_orbits
 
         def counted(tree, budget):
             calls.append(tree.n)
-            return masks(tree, budget)
+            return build(tree, budget)
 
-        monkeypatch.setattr(rowmotion, "_antichain_masks", counted)
+        # every module that enumerates orbits holds its own binding
+        for module in (rowmotion, families, stats):
+            monkeypatch.setattr(module, "all_orbits", counted)
         assert verify_family(parse_family("cbt:3")).ok
         assert calls == [15]
 

@@ -24,6 +24,7 @@ from treerow import (
     rho_via_toggles,
     toggle,
 )
+from treerow import rowmotion
 
 TREES = [
     (parents, RootedTree(parents))
@@ -320,3 +321,79 @@ class TestOrbits:
                 all_orbits(tree, budget=budget)
             with pytest.raises(ValueError, match="budget must be positive"):
                 enumerate_antichains(tree, budget=budget)
+
+
+def walked_orbits(tree):
+    """The orbits as a lex walk of the antichains meets them: every
+    antichain not yet seen starts a cycle traced by rowmotion steps.  The
+    walk meets each orbit first at its lex-smallest member, so the cycles
+    come out canonically rotated and in order."""
+    seen = set()
+    out = []
+    for start in rowmotion._antichain_masks(tree, rowmotion.DEFAULT_ANTICHAIN_BUDGET):
+        if start not in seen:
+            cycle = rowmotion._cycle(tree, start)
+            seen.update(cycle)
+            out.append(cycle)
+    return out
+
+
+class TestOrbitsFromSubtrees:
+    """`all_orbits` joins the subtrees' cycles; it must give exactly what
+    the rowmotion walk gives, member for member and in the same order."""
+
+    def test_every_plane_tree_up_to_ten_nodes(self):
+        count = 0
+        for n in range(1, 11):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                got = [o.masks for o in all_orbits(tree)]
+                assert got == walked_orbits(tree), tree.to_spec()
+                count += 1
+        assert count == 6918
+
+    @pytest.mark.parametrize(
+        "family",
+        ["zipper:6", "star:5,7,8,9,11", "comb:12", "estar:b=500;2,3"],
+    )
+    def test_families(self, family):
+        tree = make_family(parse_family(family))
+        assert [o.masks for o in all_orbits(tree)] == walked_orbits(tree)
+
+    @pytest.mark.parametrize("n", [600, 3000])
+    def test_long_chains(self, n):
+        tree = parse_tree("(" * n + ")" * n)
+        (orbit,) = all_orbits(tree)
+        assert orbit.masks == (0, *[1 << x for x in range(n)])
+        assert [orbit.masks] == walked_orbits(tree)
+
+    def test_sort_key_orders_masks_as_id_lists(self):
+        masks = list(range(1, 1 << 11)) + [1 << 300, 1 << 300 | 5, 3 << 299]
+        assert sorted(masks, key=rowmotion._lex_key) == sorted(
+            masks, key=lambda m: [x for x in range(m.bit_length()) if m >> x & 1]
+        )
+
+    def test_takes_no_rowmotion_step(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("all_orbits stepped or walked the antichains")
+
+        for name in ("_rho_mask", "_cycle", "_antichain_masks"):
+            monkeypatch.setattr(rowmotion, name, refused)
+        for spec in (STAR_332, "(())", "(()(()(()))())"):
+            assert all_orbits(parse_tree(spec))
+        assert len(all_orbits(make_family(parse_family("zipper:4")))) > 1
+
+    def test_refusals_come_before_any_work(self, monkeypatch):
+        joins = []
+        monkeypatch.setattr(rowmotion, "_join", lambda *cycles: joins.append(cycles))
+        tree = parse_tree(STAR_332)
+        counted = []
+        monkeypatch.setattr(tree, "count_antichains", lambda: counted.append(1))
+        with pytest.raises(ValueError, match="budget must be positive"):
+            all_orbits(tree, budget=0)
+        assert counted == [] and joins == []
+        cbt6 = make_family(parse_family("cbt:6"))
+        with pytest.raises(BudgetExceededError) as err:
+            all_orbits(cbt6)
+        assert err.value.needed == cbt6.count_antichains() > 10**22
+        assert joins == []

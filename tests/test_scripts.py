@@ -34,6 +34,27 @@ class TestNongradedOrderSearch:
             assert exc.value.code == 2
             assert "argument --exact-steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, bad",
+        [("--max-iter", "0"), ("--max-iter", "-5"), ("--nodes", "0"),
+         ("--nodes", "-1"), ("--trials", "-3"), ("--trials", "2.5")],
+    )
+    def test_counts_out_of_range_are_usage_errors(self, capsys, option, bad):
+        search = load("nongraded_order_search")
+        with pytest.raises(SystemExit) as exc:
+            search.main(["--trials", "0", option, bad])
+        assert exc.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
+    def test_smallest_counts_run(self, capsys):
+        search = load("nongraded_order_search")
+        argv = ["--tree", "(()(()))", "--trials", "1", "--nodes", "1",
+                "--max-iter", "1", "--exact-steps", "0"]
+        assert search.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(()(()))                 mod-p no-repeat after 1 iterations" in out
+        assert "()                       graded (leaf depth 0), skipped" in out
+
 
 class TestSurveyFamilies:
     def test_sweep_passes(self, capsys):
