@@ -64,8 +64,6 @@ __all__ = [
     "random_birational_point",
     "order_search",
     "DEFAULT_MAX_ITER",
-    "MAX_EXACT_BITS",
-    "RANDOM_VALUE_RANGE",
 ]
 
 DEFAULT_MAX_ITER = 10**5

@@ -4,6 +4,15 @@ Only errors the CLI must tell apart get their own class; everything else
 is a plain ``ValueError`` with a message.
 """
 
+__all__ = [
+    "TreerowError",
+    "SpecParseError",
+    "BudgetExceededError",
+    "UnsupportedFamilyError",
+    "ZeroInFieldError",
+    "RetriesExhaustedError",
+]
+
 
 class TreerowError(Exception):
     """Base class for package-specific errors."""

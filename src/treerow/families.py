@@ -27,7 +27,7 @@ from math import comb, gcd, lcm
 from typing import Optional, Union
 
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, parse_tree
+from .poset import RootedTree, _is_decimal, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, all_orbits
 from .stats import Statistic, _term_sums
 
@@ -147,13 +147,6 @@ class CompleteBinary:
 FamilyDescriptor = Union[
     Star, ExtendedStar, ThreeLeaf, Tk, Comb, ExtendedComb, Zipper, CompleteBinary
 ]
-
-
-def _is_decimal(text: str) -> bool:
-    """Whether ``text`` is ASCII digits only: ``int`` also reads ``٣``,
-    ``3_0``, ``+3`` and padding spaces, and ``str.isdigit`` passes ``٣``
-    and ``²``."""
-    return text.isascii() and text.isdigit()
 
 
 def _ints(text: str) -> tuple[int, ...]:

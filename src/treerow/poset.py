@@ -303,6 +303,13 @@ class RootedTree(Poset):
         return f"RootedTree({self.to_spec()!r})"
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is ASCII digits only: ``int`` also reads ``٣``,
+    ``3_0``, ``+3`` and padding spaces, and ``str.isdigit`` passes ``٣``
+    and ``²``."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_tree(spec: str) -> RootedTree:
     """Parse nested-parenthesis tree notation.
 

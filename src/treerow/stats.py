@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import SpecParseError
 from .poset import RootedTree, _down_mask
@@ -37,7 +37,9 @@ from .rowmotion import (
     _ideal_mask,
     all_orbits,
 )
-from .tiling import Tiling, _tile_counts
+
+if TYPE_CHECKING:
+    from .tiling import Tiling
 
 __all__ = [
     "Statistic",
@@ -192,9 +194,18 @@ class TilingSums:
     hatchi: int
 
 
+# tiling._tile_counts, the one use of the tiling layer here: bound on the
+# first call, so that importing stats does not load tiling, and not
+# imported on every call, which took about 2 us of each call
+_tile_counts = None
+
+
 def orbit_sums_from_tiling(tree: RootedTree, tiling: Tiling) -> TilingSums:
     """The orbit sums of the four atoms, read off a tiling valid for
     ``tree`` (``ValueError`` naming the violation otherwise)."""
+    global _tile_counts
+    if _tile_counts is None:
+        from .tiling import _tile_counts
     counts = _tile_counts(tree, tiling)
     chi_x = {}
     hatchi_x = {}

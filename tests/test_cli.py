@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import CASES
-from treerow import cli
+from treerow import cli, continuous, families, stats
 from treerow.cli import main
 from treerow.families import FamilyReport
 
@@ -115,10 +115,9 @@ class TestOutputs:
         assert (doc["iterations_used"], doc["max_bits"]) == (119, 20063)
 
     def test_verify_failure_exits_one(self, monkeypatch):
-        import treerow.cli as cli
-
         broken = FamilyReport("tk:2", False, (), 14, 13)
-        monkeypatch.setattr(cli, "verify_family", lambda desc, budget: broken)
+        # the verify handler imports verify_family from families on each call
+        monkeypatch.setattr(families, "verify_family", lambda desc, budget: broken)
         code, out, _ = run(["verify", "--family", "tk:2"])
         assert code == 1
         assert json.loads(out)["ok"] is False
@@ -183,14 +182,15 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise RuntimeError("work done before the format was checked")
 
-        for name in (
-            "all_orbits",
-            "check_homomesy",
-            "check_homometry",
-            "verify_family",
-            "order_search",
+        # each name is patched where the CLI looks it up
+        for module, name in (
+            (cli, "all_orbits"),
+            (stats, "check_homomesy"),
+            (stats, "check_homometry"),
+            (families, "verify_family"),
+            (continuous, "order_search"),
         ):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(module, name, refuse)
         refused = {
             "orbits": ("ascii", "svg"),
             "tiling": ("csv", "ascii", "svg"),
