@@ -25,6 +25,14 @@ CASES = {
         "homometry", "--family", "star:3,3,2", "--stat", "chi",
     ],
     "homometry_cbt3_hatchi.json": ["homometry", "--family", "cbt:3", "--stat", "hatchi"],
+    "stats_cbt3_hatchi.json": ["stats", "--family", "cbt:3", "--stat", "hatchi"],
+    "stats_cbt3_mixed.csv": [
+        "stats", "--family", "cbt:3", "--stat", "2*hatchi_x:3-chi_x:0-3*hatchi",
+        "--format", "csv",
+    ],
+    "homomesy_cbt3_hatchi_x2.json": [
+        "homomesy", "--family", "cbt:3", "--stat", "hatchi_x:2",
+    ],
     "verify_tk2.json": ["verify", "--family", "tk:2"],
     "verify_zipper1.json": ["verify", "--family", "zipper:1"],
     "verify_cbt3.json": ["verify", "--family", "cbt:3"],
