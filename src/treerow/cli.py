@@ -56,8 +56,14 @@ import io
 import sys
 import time
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import TYPE_CHECKING, Optional
+
+try:
+    # the C encoder alone: importing json.encoder loads the decoder too
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .errors import (
     BudgetExceededError,
@@ -329,38 +335,33 @@ def _run_render(args) -> tuple[str, int]:
     return "\n".join(parts) + "\n", 0
 
 
-def _run_stats(args) -> tuple[str, int]:
-    from fractions import Fraction
+def _average(total: int, size: int) -> str:
+    """``str(Fraction(total, size))`` for ``size > 0``, without building the
+    Fraction: lowest terms, the sign on the numerator, no denominator 1."""
+    g = gcd(total, size)
+    if g == size:
+        return str(total // g)
+    return f"{total // g}/{size // g}"
 
-    from .stats import _check_nodes, _term_sums, parse_statistic
+
+def _run_stats(args) -> tuple[str, int]:
+    from .stats import _check_nodes, _orbit_sums, parse_statistic
 
     tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
     _check_nodes(tree, stat)
-    orbits = all_orbits(tree, budget=args.budget)
-    rows = []
-    for i, o in enumerate(orbits, start=1):
-        total = sum(_term_sums(tree, stat, o.masks))
-        rows.append((i, o.size, o.delta, total, Fraction(total, o.size)))
+    orbits, sums = _orbit_sums(tree, stat, args.budget)
+    rows = [
+        (i, o.size, o.delta, total, _average(total, o.size))
+        for i, (o, total) in enumerate(zip(orbits, sums), start=1)
+    ]
     if args.format == "csv":
-        return (
-            _emit_csv(
-                ("orbit", "size", "delta", "sum", "average"),
-                [(i, s, d, t, str(a)) for i, s, d, t, a in rows],
-            ),
-            0,
-        )
+        return _emit_csv(("orbit", "size", "delta", "sum", "average"), rows), 0
     doc = {
         "tree": name,
         "stat": stat.spec(),
         "orbits": [
-            {
-                "id": i,
-                "size": s,
-                "delta": d,
-                "sum": t,
-                "average": str(a),
-            }
+            {"id": i, "size": s, "delta": d, "sum": t, "average": a}
             for i, s, d, t, a in rows
         ],
     }
@@ -368,8 +369,6 @@ def _run_stats(args) -> tuple[str, int]:
 
 
 def _run_homomesy(args) -> tuple[str, int]:
-    from fractions import Fraction
-
     from .stats import check_homomesy, orbit_sum, parse_statistic
 
     tree, name = _input_poset(args)
@@ -382,10 +381,7 @@ def _run_homomesy(args) -> tuple[str, int]:
         a, b = verdict.witness
         doc["witness"] = {
             "orbits": [_orbit_record(a, 1), _orbit_record(b, 2)],
-            "averages": [
-                str(Fraction(orbit_sum(tree, stat, o), o.size))
-                for o in (a, b)
-            ],
+            "averages": [_average(orbit_sum(tree, stat, o), o.size) for o in (a, b)],
         }
     return _emit_json(doc), 0
 

@@ -14,6 +14,17 @@ below a forest only puts ``{root}`` just after ``{}`` in the cycle through
 `orbit_of` still takes rowmotion steps, and `enumerate_antichains` still
 walks the antichains one by one.
 
+The build (`_built_orbits`) also carries one integer per cycle, the sum
+of a node weight ``w[y]`` over the elements ``y`` of its members.  A
+joined cycle holds each member of ``A`` lcm/a times and each of ``B``
+lcm/b times, so it sums to ``lcm/a * S_A + lcm/b * S_B``; a root step
+adds ``w[x] + ... + w[j]`` to the delta cycle, its singletons being the
+only new members.  Rowmotion permutes each orbit, and the complement of
+``down(A)`` is the disjoint union of the subtrees ``up[y]``, y in
+``rho(A)``, so every statistic's orbit sum is ``c0 * |O|`` plus such a
+weight sum (`stats._orbit_sums`).  `all_orbits` is the same build with
+no weights.
+
 Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
 of the ideal's indicator point, 0 on the ideal and 1 off it; `rho_ideal`
 does not toggle, so it stays an independent check on them.
@@ -304,14 +315,20 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     return out
 
 
-def _join(left: list, right: list) -> list:
-    """The cycles of the disjoint union of two forests, from each one's.
+def _join(
+    left: list, left_sums: Optional[list], right: list, right_sums: Optional[list]
+) -> tuple[list, Optional[list]]:
+    """The cycles of the disjoint union of two forests, from each one's,
+    and their sums from the cycles' sums (None if those are None).
 
     Rowmotion acts componentwise, so cycles ``A`` and ``B`` of sizes a and
     b give gcd(a, b) cycles of size lcm(a, b), cycle s running through
     ``A[t mod a] | B[(t + s) mod b]``.  The forests' ids are disjoint, so
     the union of two antichains is an OR.  The cycle through both empty
     antichains (s = 0 of the two delta cycles) comes first, from index 0.
+    Each of the gcd(a, b) cycles holds every member of ``A`` lcm/a times
+    and every member of ``B`` lcm/b times, so it sums to
+    ``lcm/a * S_A + lcm/b * S_B``.
     """
     out = []
     for a in left:
@@ -326,7 +343,14 @@ def _join(left: list, right: list) -> list:
             else:
                 for s in range(g):
                     out.append(list(map(or_, a_run, (b[s:] + b[:s]) * reps_b)))
-    return out
+    if left_sums is None:
+        return out, None
+    sums = []
+    for a, sum_a in zip(left, left_sums):
+        for b, sum_b in zip(right, right_sums):
+            g = gcd(len(a), len(b))
+            sums += [len(b) // g * sum_a + len(a) // g * sum_b] * g
+    return out, sums
 
 
 def all_orbits(
@@ -348,13 +372,24 @@ def all_orbits(
     and the order in which a lex walk of the antichains, stepping round
     each orbit it has not seen, would meet them.
     """
+    return _built_orbits(tree, budget, None)[0]
+
+
+def _built_orbits(
+    tree: RootedTree, budget: int, weight: Optional[Sequence[int]]
+) -> tuple[tuple[Orbit, ...], Optional[list[int]]]:
+    """`all_orbits`, and each orbit's sum of ``weight[y]`` over the
+    elements ``y`` of its members, carried through the build as the module
+    docstring says.  With ``weight`` None no sum is taken, and the sums
+    come back None."""
     _check_budget(tree, budget)
     children = tree.children
     # built[x]: the cycles of x's subtree, its delta cycle first with {}
-    # at index 0; kept until x's parent takes them.  They are lists: the
-    # freed ones go back to the allocator, where tuples would stay on
-    # CPython's per-size free lists and raise the peak memory.
-    built: dict[int, list] = {}
+    # at index 0, and their sums; kept until x's parent takes them.  The
+    # cycles are lists: the freed ones go back to the allocator, where
+    # tuples would stay on CPython's per-size free lists and raise the
+    # peak memory.
+    built: dict[int, tuple] = {}
     for j in range(tree.n - 1, -1, -1):
         kids = children[j]
         if len(kids) == 1:
@@ -365,15 +400,22 @@ def all_orbits(
         # {top}, ..., {j} go just after {}; most branches are one node
         singles = [1 << x for x in range(top, j + 1)] if top < j else [1 << j]
         if kids:
-            cycles = built.pop(kids[0])
+            cycles, sums = built.pop(kids[0])
             for c in kids[1:]:
-                cycles = _join(cycles, built.pop(c))
+                cycles, sums = _join(cycles, sums, *built.pop(c))
             cycles[0][1:1] = singles
         else:
-            cycles = [[0, *singles]]
-        built[top] = cycles
-    delta, *rest = built[0]
+            cycles, sums = [[0, *singles]], None if weight is None else [0]
+        if sums is not None:
+            sums[0] += sum(weight[top : j + 1])
+        built[top] = cycles, sums
+    (delta, *rest), sums = built[0]
     rest = list(map(_canonical, map(tuple, rest)))
     if len(rest) > 1:
-        rest.sort(key=lambda c: _lex_key(c[0]))
-    return (Orbit._of(tuple(delta)), *map(Orbit._of, rest))
+        if sums is None:
+            rest.sort(key=lambda c: _lex_key(c[0]))
+        else:
+            pairs = sorted(zip(rest, sums[1:]), key=lambda p: _lex_key(p[0][0]))
+            rest = [c for c, _ in pairs]
+            sums[1:] = [s for _, s in pairs]
+    return (Orbit._of(tuple(delta)), *map(Orbit._of, rest)), sums

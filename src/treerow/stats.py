@@ -17,6 +17,23 @@ nested tiles,
 
 `orbit_sums_from_tiling` evaluates these; tests confirm they agree with
 direct summation on every orbit of every small tree.
+
+`check_homomesy`, `check_homometry` and the CLI's ``stats`` take no
+per-member pass: their orbit sums are carried through the orbit build.
+The complement of the ideal ``down(A)`` is the filter generated by
+``rho(A)``, and in a rooted tree the up-sets of an antichain's members
+are disjoint subtrees, so
+
+    hatchi(A)   = n - sum_{y in rho(A)} |up[y]|
+    hatchi_x(A) = 1 - #{y in rho(A) : y <= x}
+
+Rowmotion permutes each orbit, so over an orbit ``O`` every statistic
+sums to ``c0 * |O| + sum_{B in O} sum_{y in B} w[y]``, with a weight
+``w[y]`` per node and a constant ``c0`` read off its terms
+(`_orbit_sums`).  `rowmotion._built_orbits` carries the weight sums
+through the build.  `eval_statistic`, `orbit_sum` (on an orbit it is
+given) and `families.observed_profile`, the brute-force oracle of
+``verify``, still sum member by member through `_term_sums`.
 """
 
 from __future__ import annotations
@@ -28,14 +45,14 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import SpecParseError
-from .poset import RootedTree, _down_mask
+from .poset import RootedTree, _bits, _down_mask
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
     _antichain_mask,
+    _built_orbits,
     _checked_antichain,
     _ideal_mask,
-    all_orbits,
 )
 
 if TYPE_CHECKING:
@@ -165,7 +182,7 @@ def _term_sums(tree: RootedTree, stat: Statistic, amasks, lmasks=None) -> Iterat
             lmasks = [_down_mask(tree, m) for m in amasks]
         masks = lmasks if atom.startswith("hat") else amasks
         if node is None:
-            yield coeff * sum(m.bit_count() for m in masks)
+            yield coeff * sum(map(int.bit_count, masks))
         else:
             yield coeff * sum(m >> node & 1 for m in masks)
 
@@ -184,6 +201,32 @@ def orbit_sum(tree: RootedTree, stat: Statistic, orbit: Orbit) -> int:
     for m in orbit.masks:
         _checked_antichain(tree, m)
     return sum(_term_sums(tree, stat, orbit.masks))
+
+
+def _orbit_sums(
+    tree: RootedTree, stat: Statistic, budget: int
+) -> tuple[tuple[Orbit, ...], list[int]]:
+    """All orbits of ``tree``, as `all_orbits` orders them, and the sum of
+    ``stat`` over each: ``c0 * |O|`` plus the sum of a node weight ``w[y]``
+    over the elements of the members, carried through the build (see the
+    module docstring).  The node ids must have passed ``_check_nodes``."""
+    n = tree.n
+    c0 = 0
+    weight = [0] * n
+    for coeff, atom, node in stat.terms:
+        if atom == "chi":
+            weight = [w + coeff for w in weight]
+        elif atom == "chi_x":
+            weight[node] += coeff
+        elif atom == "hatchi":
+            c0 += coeff * n
+            weight = [w - coeff * u.bit_count() for w, u in zip(weight, tree.up)]
+        else:  # hatchi_x: the y <= node are its down-set
+            c0 += coeff
+            for y in _bits(tree.down[node]):
+                weight[y] -= coeff
+    orbits, sums = _built_orbits(tree, budget, weight)
+    return orbits, [c0 * o.size + s for o, s in zip(orbits, sums)]
 
 
 @dataclass(frozen=True)
@@ -239,12 +282,12 @@ def check_homomesy(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomomesyVerdict:
     _check_nodes(tree, stat)
-    orbits = all_orbits(tree, budget=budget)
-    averages = [Fraction(sum(_term_sums(tree, stat, o.masks)), o.size) for o in orbits]
-    for o, avg in zip(orbits[1:], averages[1:]):
-        if avg != averages[0]:
+    orbits, sums = _orbit_sums(tree, stat, budget)
+    size, total = orbits[0].size, sums[0]
+    for o, s in zip(orbits[1:], sums[1:]):
+        if s * size != total * o.size:
             return HomomesyVerdict(False, witness=(orbits[0], o))
-    return HomomesyVerdict(True, constant=averages[0])
+    return HomomesyVerdict(True, constant=Fraction(total, size))
 
 
 def check_homometry(
@@ -253,10 +296,10 @@ def check_homometry(
     """On failure the witness is canonical: the smallest offending orbit
     size, and within it the first disagreeing pair in enumeration order."""
     _check_nodes(tree, stat)
-    orbits = all_orbits(tree, budget=budget)
+    orbits, sums = _orbit_sums(tree, stat, budget)
     by_size: dict[int, list[tuple[Orbit, int]]] = {}
-    for o in orbits:
-        by_size.setdefault(o.size, []).append((o, sum(_term_sums(tree, stat, o.masks))))
+    for o, s in zip(orbits, sums):
+        by_size.setdefault(o.size, []).append((o, s))
     table: dict[int, int] = {}
     for size in sorted(by_size):
         (first, value) = by_size[size][0]

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,13 @@ class TestOutputs:
         assert doc["homometric"] is False
         assert doc["witness"]["sums"] == [14, 15]
         assert [o["size"] for o in doc["witness"]["orbits"]] == [4, 4]
+
+    def test_average_is_the_fraction_string(self):
+        totals = [*range(-40, 41), -(10**30) - 7, 10**30 + 6, 2**61 - 1]
+        for size in range(1, 25):
+            for total in totals:
+                assert cli._average(total, size) == str(Fraction(total, size))
+        assert [cli._average(t, 6) for t in (-12, -9, 0, 4)] == ["-2", "-3/2", "0", "2/3"]
 
     def test_csv_shape(self):
         _, out, _ = run(CASES["orbits_star332.csv"])

@@ -338,15 +338,16 @@ class TestVerify:
 
     def test_complete_binary_enumerates_once(self, monkeypatch):
         calls = []
-        build = rowmotion.all_orbits
+        build = rowmotion._built_orbits
 
-        def counted(tree, budget):
+        def counted(tree, budget, weight):
             calls.append(tree.n)
-            return build(tree, budget)
+            return build(tree, budget, weight)
 
-        # every module that enumerates orbits holds its own binding
-        for module in (rowmotion, families, stats):
-            monkeypatch.setattr(module, "all_orbits", counted)
+        # all_orbits and the orbit sums of stats both build through
+        # _built_orbits; stats holds its own binding
+        for module in (rowmotion, stats):
+            monkeypatch.setattr(module, "_built_orbits", counted)
         assert verify_family(parse_family("cbt:3")).ok
         assert calls == [15]
 

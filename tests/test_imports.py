@@ -17,7 +17,8 @@ LAYERS = {"errors", "poset", "rowmotion", "tiling", "stats", "families", "contin
 def fresh(code: str, result: str):
     """Run ``code`` in a fresh interpreter, then return ``result``
     evaluated there (a JSON value)."""
-    probe = f"import json, sys\n{code}\nprint(json.dumps({result}))\n"
+    # json is imported after ``result`` is read, so that it does not count
+    probe = f"import sys\n{code}\n_result = {result}\nimport json\nprint(json.dumps(_result))\n"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
     )
@@ -87,6 +88,17 @@ class TestLazyPackage:
             exec("from treerow import no_such_name", {})
         with pytest.raises(AttributeError):
             treerow.cli_main  # neither a public name nor a submodule
+
+
+def test_cli_does_not_load_the_json_decoder():
+    """The CLI writes JSON with its own writer and the C string encoder;
+    importing ``json.encoder`` would load the decoder and scanner too."""
+    loaded = fresh(
+        "import treerow.cli",
+        "[m for m in ('json', 'json.decoder', 'json.scanner', 'json.encoder')"
+        " if m in sys.modules]",
+    )
+    assert loaded == []
 
 
 class TestCliModuleSets:

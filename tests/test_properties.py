@@ -25,6 +25,7 @@ from treerow import (
     tiling_of_orbit,
     validate_tiling,
 )
+from treerow import stats
 
 ALL_POSETS = {
     n: [Poset(n, oracles.covers_of(n, rel)) for rel in oracles.all_posets(n)]
@@ -132,3 +133,18 @@ class TestStatisticProperties:
             )
         )
         assert parse_statistic(stat.spec()) == stat
+
+    @settings(max_examples=60, deadline=None)
+    @given(trees(max_n=12), st.lists(TERM, min_size=1, max_size=5))
+    def test_orbit_sums_from_the_build(self, tree, raw_terms):
+        """The sums carried through the orbit build are the member-by-member
+        sums, on random trees and random integer combinations."""
+        stat = Statistic(
+            tuple(
+                (c, a, node % tree.n if a.endswith("_x") else None)
+                for c, a, node in raw_terms
+            )
+        )
+        orbits, sums = stats._orbit_sums(tree, stat, 10**6)
+        assert orbits == all_orbits(tree)
+        assert sums == [sum(stats._term_sums(tree, stat, o.masks)) for o in orbits]

@@ -1,6 +1,10 @@
 """Statistics, orbit sums via tilings, homomesy and homometry checks."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -27,6 +31,7 @@ from treerow import (
 from treerow import rowmotion
 from treerow import stats as stats_module
 from treerow.errors import SpecParseError
+from treerow.poset import _bits, _down_mask
 
 STAR_332 = parse_tree("((())(())())")
 
@@ -318,3 +323,133 @@ class TestIdealStatisticsUseGeneratedIdeal:
         for stat in (Statistic.chi(), Statistic.hatchi(), Statistic.hatchi_x(0)):
             with pytest.raises(ValueError, match="not an antichain: 0 < 1"):
                 orbit_sum(STAR_332, stat, not_antichain)
+
+
+def term_sum_per_orbit(tree, stat, orbits):
+    """The orbit sums taken member by member, the reference for the build."""
+    return [sum(stats_module._term_sums(tree, stat, o.masks)) for o in orbits]
+
+
+def mixed(tree):
+    """A statistic of all four atoms with negative coefficients."""
+    return parse_statistic(
+        f"2*hatchi_x:{tree.n - 1}-chi_x:0-3*hatchi+5*chi-7*hatchi_x:{tree.n // 2}"
+    )
+
+
+def every_atom(tree):
+    """Each atom, at every node for the per-node ones, and `mixed`."""
+    yield Statistic.chi()
+    yield Statistic.hatchi()
+    for x in range(tree.n):
+        yield Statistic.chi_x(x)
+        yield Statistic.hatchi_x(x)
+    yield mixed(tree)
+
+
+class TestOrbitSumsFromTheBuild:
+    """`_orbit_sums` carries the sums through the orbit build; it must give
+    exactly the member-by-member sums, orbit for orbit and in order."""
+
+    def test_every_plane_tree_up_to_nine_nodes(self):
+        count = 0
+        for n in range(1, 10):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                orbits = all_orbits(tree)
+                # each atom kind once, at a leaf and at an inner node
+                for stat in (
+                    Statistic.chi(),
+                    Statistic.hatchi(),
+                    Statistic.chi_x(n - 1),
+                    Statistic.hatchi_x(n // 2),
+                    mixed(tree),
+                ):
+                    got_orbits, got = stats_module._orbit_sums(tree, stat, 10**6)
+                    assert got_orbits == orbits
+                    assert got == term_sum_per_orbit(tree, stat, orbits), (
+                        tree.to_spec(),
+                        stat,
+                    )
+                count += 1
+        assert count == 2056
+
+    def test_every_node_of_the_small_trees(self):
+        for tree in TREES:
+            orbits = all_orbits(tree)
+            for stat in every_atom(tree):
+                _, got = stats_module._orbit_sums(tree, stat, 10**6)
+                assert got == term_sum_per_orbit(tree, stat, orbits)
+
+    @pytest.mark.parametrize("family", ["zipper:4", "cbt:3", "star:5,7,8,9,11"])
+    def test_families(self, family):
+        tree = make_family(parse_family(family))
+        orbits = all_orbits(tree)
+        for stat in every_atom(tree):
+            _, got = stats_module._orbit_sums(tree, stat, 10**6)
+            assert got == term_sum_per_orbit(tree, stat, orbits), stat
+
+    def test_long_chain(self):
+        n = 600
+        tree = parse_tree("(" * n + ")" * n)
+        orbits = all_orbits(tree)
+        for stat in (
+            Statistic.chi(),
+            Statistic.hatchi(),
+            Statistic.hatchi_x(n - 1) - 2 * Statistic.chi_x(n // 2),
+        ):
+            _, got = stats_module._orbit_sums(tree, stat, n + 1)
+            assert got == term_sum_per_orbit(tree, stat, orbits), stat
+        # one orbit: {} and every singleton, hatchi sums 0 + 1 + ... + n
+        assert stats_module._orbit_sums(tree, Statistic.hatchi(), n + 1) == (
+            orbits,
+            [n * (n + 1) // 2],
+        )
+
+    def test_hatchi_is_n_minus_the_filter_of_rho(self):
+        """The complement of down(A) is the disjoint union of the subtrees
+        up[y] over y in rho(A), on every antichain of every small tree."""
+        for tree in TREES:
+            for amask in rowmotion._antichain_masks(tree, 10**6):
+                rho = _bits(rowmotion._rho_mask(tree, amask))
+                down = _down_mask(tree, amask)
+                subtrees = [tree.up[y] for y in rho]
+                union = reduce(or_, subtrees, 0)
+                assert union == tree.full_mask & ~down
+                # disjoint, so hatchi(A) = n - sum |up[y]|
+                assert sum(map(int.bit_count, subtrees)) == tree.n - down.bit_count()
+                for x in range(tree.n):
+                    covered = sum(tree.up[y] >> x & 1 for y in rho)
+                    assert down >> x & 1 == 1 - covered
+
+    def test_no_member_is_summed(self, monkeypatch):
+        """`stats`, `check_homomesy` and `check_homometry` read their sums
+        from the build; `verify` still sums member by member."""
+        from treerow import families
+        from treerow.cli import main
+
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return counted
+
+        for module in (stats_module, families, rowmotion):
+            for name in ("_term_sums", "_down_mask"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        tree = make_family(parse_family("zipper:2"))
+        for stat in (Statistic.hatchi(), Statistic.chi(), mixed(tree)):
+            check_homomesy(tree, stat)
+            check_homometry(tree, stat)
+        for fmt in ("json", "csv"):
+            argv = ["stats", "--family", "zipper:2", "--stat", "hatchi", "--format", fmt]
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        assert calls == []
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--family", "zipper:2"]) == 0
+        assert "_term_sums" in calls and "_down_mask" in calls
