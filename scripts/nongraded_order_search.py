@@ -18,11 +18,15 @@ import random
 import sys
 
 from treerow import RootedTree, order_search, parse_tree
+from treerow.continuous import _is_prime
 
 DEFAULT_PRIME = 2**61 - 1
 
 
 def at_least(text, low):
+    # ASCII digits only, as in the CLI: int() also reads "٣", "+3", "3_0", " 3"
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
     value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
@@ -35,6 +39,13 @@ def nonnegative(text):
 
 def positive(text):
     return at_least(text, 1)
+
+
+def prime(text):
+    value = at_least(text, 2)
+    if not _is_prime(value):
+        raise argparse.ArgumentTypeError(f"expected a prime modulus, got {text!r}")
+    return value
 
 
 def leaf_depths(tree):
@@ -64,9 +75,9 @@ def main(argv=None):
     ap.add_argument("--tree", action="append", default=[], help="tree spec, repeatable")
     ap.add_argument("--trials", type=nonnegative, default=10, help="random trees to draw")
     ap.add_argument("--nodes", type=positive, default=8, help="nodes per random tree")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=nonnegative, default=0)
     ap.add_argument("--max-iter", type=positive, default=10**5)
-    ap.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    ap.add_argument("--prime", type=prime, default=DEFAULT_PRIME)
     ap.add_argument(
         "--exact-steps",
         type=nonnegative,

@@ -10,23 +10,26 @@ once, top of a linear extension first; an explicit extension is checked
 (``ValueError`` if it is not one) and ``None`` means the default one.
 
 Every sweep turns its toggle order into one plan (`rowmotion._plan`)
-and runs one of three loops on it.  The PL loop `_pl_run`, which the
+and runs it one of three ways.  The PL loop `_pl_run`, which the
 ideal toggles of `rowmotion` run on too, works on integer numerators
 over the values' common denominator D: the toggle
 ``max(lo) + min(up) − f(x)`` keeps a value on the (1/D)-lattice, and the
 boundary values are 0 and D.  The polytope check reads the numerators,
 and the `Fraction`s are built once per call (`ZERO` and `ONE` when D = 1).
 
-Birational values are `Fraction`s, toggled by `_bi_run_rational`, or
-integers mod a prime for the fast screening path, toggled by
-`_bi_run_modp`; both raise the same zeros in the same order, the mod-p
-messages suffixed ``(mod p)``.  Exact coordinates blow up quickly,
+Birational values are `Fraction`s, toggled by the loop
+`_bi_run_rational`, or integers mod a prime for the fast screening path,
+toggled by ``sweep(a, b, p)``: `_modp_sweep` writes each plan out as
+straight-line Python source, one assignment per toggle with the covers'
+indices as constants, compiles it once and caches it by the plan.  Both
+raise the same zeros in the same order, the mod-p messages suffixed
+``(mod p)``.  Exact coordinates blow up quickly,
 which is why the prime-field mode exists: an exact `order_search`
 reports the largest bit length it saw, and gives up (``no-repeat``)
 after the step that takes a coordinate past `MAX_EXACT_BITS` bits.  The
 modulus must be prime (``ValueError`` otherwise), since the zero checks
 and the return test need a field.  A mod-p point is a tuple of
-residues, but the loop works on projective pairs ``(a, b)`` with value
+residues, but the sweep works on projective pairs ``(a, b)`` with value
 ``a/b``: a toggle is a ratio of subtraction-free products
 (Einstein–Propp, arXiv:1310.5294; Grinberg–Roby, arXiv:1402.6178), so
 no inverse is taken per toggle, and the public maps normalise once at
@@ -35,7 +38,8 @@ and rejects any other value.
 
 `order_search` runs its loop on bare values and builds no point per
 step: it compares PL numerators, exact `Fraction`s, or mod-p pairs as
-``a`` against ``start · b``, never normalised.
+``a`` against ``start · b``, never normalised.  It looks the mod-p sweep
+up once per search.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import RetriesExhaustedError, ZeroInFieldError
 from .poset import Poset, _extension
@@ -256,9 +260,9 @@ def _require_nonzero(values) -> None:
         raise ZeroInFieldError("birational points must be nonzero everywhere")
 
 
-def _bi_run_rational(plan: list, vals: list) -> None:
+def _bi_run_rational(plan: tuple, vals: list) -> None:
     """Toggle the `Fraction`s ``vals`` along ``plan`` in place, with the
-    zero checks of `_bi_run_modp`, in its order."""
+    zero checks of `_modp_sweep`, in its order."""
     for x, lo, up in plan:
         num = sum([vals[y] for y in lo]) if lo else ONE
         recip = sum([1 / vals[z] for z in up]) if up else ONE
@@ -269,39 +273,64 @@ def _bi_run_rational(plan: list, vals: list) -> None:
         vals[x] = num / (vals[x] * recip)
 
 
-def _bi_run_modp(plan: list, a: list, b: list, p: int) -> None:
-    """Toggle along ``plan`` in place, the value at x being a[x]/b[x].
+def _cover_sum(lines: list, ids: list, top: str, bottom: str, t: str, u: str):
+    """Factors of the running sum t/u of ``top[y]/bottom[y]`` over ``ids``:
+    none for an empty sum, the pair itself for one term; a longer sum
+    appends its lines, ``t ← t·bottom[y] + top[y]·u``, ``u ← u·bottom[y]``."""
+    if not ids:
+        return [], []
+    y = ids[0]
+    if len(ids) == 1:
+        return ["%s[%d]" % (top, y)], ["%s[%d]" % (bottom, y)]
+    lines.append("    %s, %s = %s[%d], %s[%d]" % (t, u, top, y, bottom, y))
+    for y in ids[1:]:
+        lines.append(
+            "    %s, %s = (%s * %s[%d] + %s[%d] * %s) %% p, %s * %s[%d] %% p"
+            % (t, u, t, bottom, y, top, y, u, u, bottom, y)
+        )
+    return [t], [u]
+
+
+def _product(factors: list) -> str:
+    return " * ".join(factors) + " % p" if len(factors) > 1 else factors[0]
+
+
+@lru_cache(maxsize=256)
+def _modp_sweep(plan: tuple) -> Callable[[list, list, int], None]:
+    """``sweep(a, b, p)``: the toggles of ``plan`` compiled once into
+    straight-line code that toggles in place, the value at x being a[x]/b[x].
 
     The lower-cover sum is N/D and the reciprocal upper-cover sum S/Q,
     both built with running products, so the toggle
-    ``(N/D) / ((a_x/b_x)·(S/Q))`` is ``a_x ← N·b_x·Q``, ``b_x ← D·a_x·S``.
-    Each value stays a ratio of units: S ≡ 0 or N ≡ 0 is the only way
-    for a zero to appear, and either raises.
+    ``(N/D) / ((a_x/b_x)·(S/Q))`` is ``a_x ← N·b_x·Q``, ``b_x ← D·a_x·S``;
+    an empty sum is 1 and leaves its factors out.  Each value stays a
+    ratio of units, so a one-term sum cannot vanish: a sum of two or more
+    terms is checked, S before N, and either raises.  Every index in the
+    source is written with ``%d`` from ``int`` of the plan's entry.
     """
+    lines = ["def sweep(a, b, p):"]
     for x, lo, up in plan:
-        if lo:
-            y = lo[0]
-            num, den = a[y], b[y]
-            for y in lo[1:]:
-                num = (num * b[y] + a[y] * den) % p
-                den = den * b[y] % p
-        else:
-            num = den = 1
-        if up:
-            z = up[0]
-            s, q = b[z], a[z]
-            for z in up[1:]:
-                s = (s * a[z] + b[z] * q) % p
-                q = q * a[z] % p
-            if not s:
-                raise ZeroInFieldError(
-                    f"reciprocal sum vanishes toggling {x} (mod {p})"
-                )
-        else:
-            s = q = 1
-        if not num:
-            raise ZeroInFieldError(f"toggling {x} produced zero (mod {p})")
-        a[x], b[x] = num * b[x] * q % p, den * a[x] * s % p
+        x = int(x)
+        num, den = _cover_sum(lines, [int(y) for y in lo], "a", "b", "n", "d")
+        s, q = _cover_sum(lines, [int(z) for z in up], "b", "a", "s", "q")
+        if len(up) > 1:
+            lines.append("    if not s:")
+            lines.append(
+                '        raise ZeroInFieldError('
+                'f"reciprocal sum vanishes toggling %d (mod {p})")' % x
+            )
+        if len(lo) > 1:
+            lines.append("    if not n:")
+            lines.append(
+                '        raise ZeroInFieldError(f"toggling %d produced zero (mod {p})")'
+                % x
+            )
+        top = _product(num + ["b[%d]" % x] + q)
+        bottom = _product(den + ["a[%d]" % x] + s)
+        lines.append("    a[%d], b[%d] = %s, %s" % (x, x, top, bottom))
+    namespace = {"ZeroInFieldError": ZeroInFieldError}
+    exec(compile("\n".join(lines), "<treerow mod-p sweep>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def _normalised(a: list, b: list, p: int) -> tuple:
@@ -328,7 +357,7 @@ def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoi
         _bi_run_rational(plan, vals)
         return LabeledPoint._of(poset, tuple(vals))
     a, b = list(f.values), [1] * poset.n
-    _bi_run_modp(plan, a, b, f.p)
+    _modp_sweep(plan)(a, b, f.p)
     return LabeledPoint._of(poset, _normalised(a, b, f.p), "modp", f.p)
 
 
@@ -401,7 +430,7 @@ def _bits_of(vals) -> int:
 
 
 def _first_return(
-    plan: list, start: tuple, max_iter: int
+    plan: tuple, start: tuple, max_iter: int
 ) -> tuple[Optional[int], int, int]:
     """The first i <= max_iter at which exact birational rowmotion along
     ``plan`` brings ``start`` back (None if there is none), the steps
@@ -422,7 +451,7 @@ def _first_return(
 
 
 def _first_return_pl(
-    poset: Poset, plan: list, start: tuple, max_iter: int
+    poset: Poset, plan: tuple, start: tuple, max_iter: int
 ) -> Optional[int]:
     """`_first_return` for PL rowmotion, run on the numerators over the
     start's common denominator: the start is checked once, and the
@@ -438,15 +467,16 @@ def _first_return_pl(
 
 
 def _first_return_modp(
-    plan: list, start: tuple, p: int, max_iter: int
+    sweep: Callable[[list, list, int], None], start: tuple, p: int, max_iter: int
 ) -> Optional[int]:
-    """`_first_return` for mod-p birational rowmotion, run on projective
-    pairs: the iterate a/b is the start once a ≡ start·b everywhere."""
+    """`_first_return` for mod-p birational rowmotion, the compiled
+    ``sweep`` run on projective pairs: the iterate a/b is the start once
+    a ≡ start·b everywhere."""
     _require_nonzero(start)
     a, b = list(start), [1] * len(start)
     first = start[0]  # a poset has an element; test it alone first
     for i in range(1, max_iter + 1):
-        _bi_run_modp(plan, a, b, p)
+        sweep(a, b, p)
         if a[0] == first * b[0] % p and all(
             u == v * w % p for u, v, w in zip(a, start, b)
         ):
@@ -498,6 +528,7 @@ def order_search(
         if rng is None:
             raise ValueError("need a start point or an rng to draw one")
         f0 = make(poset, rng)
+    sweep = _modp_sweep(plan) if f0.mode == "modp" else None
     restarts = 0
     while True:
         used, bits = max_iter, None
@@ -505,7 +536,7 @@ def order_search(
             if kind == "pl":
                 found = _first_return_pl(poset, plan, f0.values, max_iter)
             elif f0.mode == "modp":
-                found = _first_return_modp(plan, f0.values, f0.p, max_iter)
+                found = _first_return_modp(sweep, f0.values, f0.p, max_iter)
             else:
                 found, used, bits = _first_return(plan, f0.values, max_iter)
         except ZeroInFieldError:

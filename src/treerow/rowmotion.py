@@ -133,12 +133,12 @@ def rho_ideal(tree: Poset, ideal: Iterable[int]) -> frozenset[int]:
     return frozenset(_bits(_down_mask(tree, new)))
 
 
-def _plan(poset: Poset, order: Iterable[int]) -> list:
+def _plan(poset: Poset, order: Iterable[int]) -> tuple:
     """``(x, lower covers, upper covers)`` per toggle, in order."""
-    return [(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order]
+    return tuple([(x, poset.lower_covers[x], poset.upper_covers[x]) for x in order])
 
 
-def _pl_run(plan: list, nums: list, d: int) -> None:
+def _pl_run(plan: tuple, nums: list, d: int) -> None:
     """Toggle along ``plan`` in place, the value at x being nums[x]/d.
 
     ``max(lo) + min(up) − f(x)`` keeps every value on the (1/d)-lattice,

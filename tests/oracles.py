@@ -243,10 +243,12 @@ def birational_toggle(n, rel, vals, x, p=None, covers=None):
     return out
 
 
-def birational_step(n, rel, vals, ext, p=None):
+def birational_step(n, rel, vals, ext, p=None, covers=None):
     """Birational rowmotion, over the rationals or mod p: toggle every
-    element, the last of the linear extension ``ext`` first."""
-    covers = covers_of(n, rel)
+    element, the last of the linear extension ``ext`` first.  ``covers``
+    is ``covers_of(n, rel)``, found here if not given."""
+    if covers is None:
+        covers = covers_of(n, rel)
     for x in reversed(ext):
         vals = birational_toggle(n, rel, vals, x, p, covers)
     return vals

@@ -14,11 +14,14 @@ from treerow import (
     Poset,
     birational_rowmotion,
     birational_toggle,
+    chain,
     chain_product,
     ideal_of_indicator,
     indicator_point,
     linear_extension,
+    make_family,
     order_search,
+    parse_family,
     parse_tree,
     pl_rowmotion,
     pl_toggle,
@@ -529,6 +532,121 @@ class TestModpAgainstOracle:
             assert (result.outcome, result.iterations_used) == ("no-repeat", max_iter)
             counts.append(len(built))
         assert counts[0] == counts[1] <= 2
+
+
+class LoudInt(int):
+    """An int that logs every attempt to turn it into text, and would put
+    code into generated source if it were ever written there as text."""
+
+    calls = []
+
+    def __format__(self, spec):
+        LoudInt.calls.append("__format__")
+        return "0] = 0; a[0"
+
+    def __str__(self):
+        LoudInt.calls.append("__str__")
+        return "0] = 0; a[0"
+
+    def __repr__(self):
+        LoudInt.calls.append("__repr__")
+        return "0] = 0; a[0"
+
+
+def long_and_wide():
+    """The 3x3 and 2x4 grids, a 300-node chain and ``estar:b=100;3,4``,
+    each with its cover pairs, found without the package for the grids
+    and read off the parent table for the trees."""
+    out = []
+    for p, q in ((3, 3), (2, 4)):
+        covers = oracles.covers_of(p * q, oracles.grid_relations(p, q))
+        out.append((Poset(p * q, covers), covers))
+    for tree in (chain(300), make_family(parse_family("estar:b=100;3,4"))):
+        out.append((tree, [(tree.parents[x], x) for x in range(1, tree.n)]))
+    return out
+
+
+class TestModpSweep:
+    """The compiled mod-p sweep: once per toggle order, equal to the
+    oracle on long and wide plans, and written from plain ints."""
+
+    def test_each_toggle_order_is_compiled_once(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(
+            treerow.continuous,
+            "compile",
+            lambda *args: compiled.append(args[1]) or compile(*args),
+            raising=False,
+        )
+        sweep = treerow.continuous._modp_sweep
+        sweep.cache_clear()
+        tree = parse_tree(NON_GRADED_TREES[2])
+        for seed in (1, 2):
+            result = order_search(tree, max_iter=300, p=P61, rng=random.Random(seed))
+            assert result.iterations_used == 300
+        f = random_birational_point(tree, random.Random(3), P61)
+        for _ in range(100):
+            f = birational_rowmotion(tree, f)
+        assert (sweep.cache_info().misses, len(compiled)) == (1, 1)
+        other = (0, 4, 2, 1, 3)
+        assert other != linear_extension(tree)
+        for _ in range(100):
+            f = birational_rowmotion(tree, f, other)
+        assert (sweep.cache_info().misses, len(compiled)) == (2, 2)
+        assert compiled == ["<treerow mod-p sweep>"] * 2
+
+    def test_long_and_wide_plans_against_the_oracle(self):
+        rng = random.Random(1618)
+        zeros = set()
+        for poset, covers in long_and_wide():
+            n = poset.n
+            ext = linear_extension(poset)
+            for p in (5, 7, P61):
+                for _ in range(2):
+                    vals = [rng.randrange(1, p) for _ in range(n)]
+                    for _ in range(3):
+                        want = values_or_zero(
+                            lambda: oracles.birational_step(
+                                n, None, vals, ext, p, covers
+                            )
+                        )
+                        f = LabeledPoint(poset, tuple(vals), "modp", p)
+                        got = values_or_zero(lambda: birational_rowmotion(poset, f))
+                        assert got == want, (n, p, vals)
+                        if isinstance(want, str):
+                            zeros.add(want.split()[0])
+                            break
+                        vals = want
+        assert zeros == {"reciprocal", "toggling"}
+
+    def test_covers_are_written_as_plain_ints(self):
+        plain, covers = long_and_wide()[0]
+        loud = Poset(plain.n, [(LoudInt(a), LoudInt(b)) for a, b in covers])
+        assert type(loud.lower_covers[4][0]) is LoudInt
+        assert type(linear_extension(loud)[-1]) is LoudInt
+        LoudInt.calls.clear()
+        treerow.continuous._modp_sweep.cache_clear()
+        rng = random.Random(5)
+        seen = []
+        for p in (5, 7, P61):
+            for _ in range(20):
+                vals = tuple(rng.randrange(1, p) for _ in range(plain.n))
+                got = values_or_zero(lambda: birational_rowmotion(
+                    loud, LabeledPoint(loud, vals, "modp", p)
+                ))
+                want = values_or_zero(lambda: birational_rowmotion(
+                    plain, LabeledPoint(plain, vals, "modp", p)
+                ))
+                assert got == want, (p, vals)
+                seen.append(got)
+            result = order_search(loud, max_iter=50, p=p, rng=random.Random(p))
+            assert result == order_search(
+                plain, max_iter=50, p=p, rng=random.Random(p)
+            )
+        assert any(isinstance(w, str) for w in seen)
+        # the one compile was of the loud plan; the plain runs reused it
+        assert treerow.continuous._modp_sweep.cache_info().misses == 1
+        assert LoudInt.calls == []
 
 
 # signed values, so that cover sums can cancel and both kinds of zero occur

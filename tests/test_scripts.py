@@ -46,6 +46,36 @@ class TestNongradedOrderSearch:
         assert exc.value.code == 2
         assert f"argument {option}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["10", "1", "0", "2305843009213693953"])
+    def test_prime_must_be_prime(self, capsys, monkeypatch, bad):
+        search = load("nongraded_order_search")
+        monkeypatch.setattr(search, "order_search", None)  # no search may run
+        with pytest.raises(SystemExit) as exc:
+            search.main(["--tree", "(()(()))", "--trials", "0", "--prime", bad])
+        assert exc.value.code == 2
+        assert "argument --prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", ["--trials", "--nodes", "--seed", "--max-iter", "--prime",
+                   "--exact-steps"],
+    )
+    @pytest.mark.parametrize("bad", ["٣", "+3", "3_0", " 3", "3 ", "-0", "²"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, option, bad):
+        search = load("nongraded_order_search")
+        with pytest.raises(SystemExit) as exc:
+            search.main(["--trials", "0", option, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected ASCII decimal digits" in err
+
+    def test_small_prime_and_seed_run(self, capsys):
+        search = load("nongraded_order_search")
+        argv = ["--tree", "(()(()))", "--trials", "0", "--prime", "13",
+                "--seed", "3", "--max-iter", "200", "--exact-steps", "0"]
+        assert search.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(()(()))                 mod-p finite-order order=10 after 10 iterations (9 restarts)" in out
+
     def test_smallest_counts_run(self, capsys):
         search = load("nongraded_order_search")
         argv = ["--tree", "(()(()))", "--trials", "1", "--nodes", "1",
