@@ -19,6 +19,7 @@ import sys
 
 from treerow import RootedTree, order_search, parse_tree
 from treerow.continuous import _is_prime
+from treerow.errors import SpecParseError
 
 DEFAULT_PRIME = 2**61 - 1
 
@@ -48,6 +49,13 @@ def prime(text):
     return value
 
 
+def tree_spec(text):
+    try:
+        return parse_tree(text)
+    except SpecParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def leaf_depths(tree):
     out = set()
     for leaf in tree.leaves:
@@ -72,7 +80,9 @@ def random_tree(rng, n):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--tree", action="append", default=[], help="tree spec, repeatable")
+    ap.add_argument(
+        "--tree", action="append", type=tree_spec, default=[], help="tree spec, repeatable"
+    )
     ap.add_argument("--trials", type=nonnegative, default=10, help="random trees to draw")
     ap.add_argument("--nodes", type=positive, default=8, help="nodes per random tree")
     ap.add_argument("--seed", type=nonnegative, default=0)
@@ -87,7 +97,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
-    trees = [parse_tree(s) for s in args.tree]
+    trees = list(args.tree)
     while len(trees) < len(args.tree) + args.trials:
         trees.append(random_tree(rng, args.nodes))
 

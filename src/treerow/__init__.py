@@ -6,11 +6,15 @@ its submodule the first time it is read (PEP 562) and then kept in this
 namespace, so a run compiles and runs only the modules it uses: reading
 ``treerow.order_search`` loads ``errors``, ``poset``, ``rowmotion`` and
 ``continuous``, never ``tiling``, ``stats`` or ``families``.
+
+``_EXPORTS`` is the one list of public names: each submodule reads its
+own ``__all__`` from it, and this namespace its ``__all__`` and the home
+of each name.
 """
 
 from importlib import import_module
 
-# submodule -> the public names it defines, its ``__all__``
+# submodule -> the public names it defines; its ``__all__`` is read from here
 _EXPORTS = {
     "errors": (
         "BudgetExceededError",

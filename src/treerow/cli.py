@@ -37,8 +37,8 @@ any small verb.  This module imports ``errors``, ``poset`` and
 ``rowmotion``, which every verb uses, and each handler imports the other
 layers it needs when it runs: ``tiling`` for ``tiling`` and ``render``,
 ``stats`` for ``stats``, ``homomesy`` and ``homometry``, ``families``
-(and through it ``stats``) for ``verify`` and any ``--family`` input,
-``continuous`` for ``birational`` and ``pl``.  The default of
+for ``verify`` and any ``--family`` input, ``continuous`` for
+``birational`` and ``pl``.  The default of
 ``--max-iter`` is filled in by the lifts' handler, so no other verb's
 parser loads ``continuous``; ``csv`` and ``traceback`` load only for CSV
 output and exit 4.  ``python3 -m treerow.cli homometry --tree

@@ -51,24 +51,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import _EXPORTS
 from .errors import RetriesExhaustedError, ZeroInFieldError
 from .poset import Poset, _extension
 from .rowmotion import _ideal_mask, _pl_run, _plan
 
-__all__ = [
-    "LabeledPoint",
-    "OrderSearchResult",
-    "indicator_point",
-    "ideal_of_indicator",
-    "pl_toggle",
-    "pl_rowmotion",
-    "birational_toggle",
-    "birational_rowmotion",
-    "random_pl_point",
-    "random_birational_point",
-    "order_search",
-    "DEFAULT_MAX_ITER",
-]
+__all__ = list(_EXPORTS["continuous"])
 
 DEFAULT_MAX_ITER = 10**5
 # an exact search stops once a numerator or denominator passes this many bits

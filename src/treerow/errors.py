@@ -4,14 +4,9 @@ Only errors the CLI must tell apart get their own class; everything else
 is a plain ``ValueError`` with a message.
 """
 
-__all__ = [
-    "TreerowError",
-    "SpecParseError",
-    "BudgetExceededError",
-    "UnsupportedFamilyError",
-    "ZeroInFieldError",
-    "RetriesExhaustedError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class TreerowError(Exception):

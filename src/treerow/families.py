@@ -17,6 +17,9 @@ against.
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
 and hatchi sums, and the predictor refuses it.
+
+The public names, like every layer's, are listed once, in
+``treerow._EXPORTS``.
 """
 
 from __future__ import annotations
@@ -26,36 +29,12 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Union
 
+from . import _EXPORTS
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, _is_decimal, parse_tree
+from .poset import RootedTree, _down_mask, _is_decimal, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, all_orbits
-from .stats import Statistic, _term_sums
 
-__all__ = [
-    "Star",
-    "ExtendedStar",
-    "ThreeLeaf",
-    "Tk",
-    "Comb",
-    "ExtendedComb",
-    "Zipper",
-    "CompleteBinary",
-    "FamilyDescriptor",
-    "OrbitClass",
-    "OrbitProfile",
-    "FamilyReport",
-    "parse_family",
-    "descriptor_string",
-    "family_spec",
-    "make_family",
-    "chain",
-    "graft",
-    "predicted_profile",
-    "combine_profiles",
-    "extend_root_transfer",
-    "observed_profile",
-    "verify_family",
-]
+__all__ = list(_EXPORTS["families"])
 
 
 @dataclass(frozen=True)
@@ -545,10 +524,12 @@ def observed_profile(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> OrbitProfile:
     """Brute-force orbit table: enumerate, sum, group."""
-    chi_hatchi = Statistic.chi() + Statistic.hatchi()
     table: _Table = {}
     for orbit in all_orbits(tree, budget=budget):
-        key = (orbit.size, orbit.delta, *_term_sums(tree, chi_hatchi, orbit.masks))
+        masks = orbit.masks
+        chi = sum(map(int.bit_count, masks))
+        hatchi = sum([_down_mask(tree, m).bit_count() for m in masks])
+        key = (orbit.size, orbit.delta, chi, hatchi)
         table[key] = table.get(key, 0) + 1
     return OrbitProfile(_labeled(table))
 

@@ -18,20 +18,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import _EXPORTS
 from .errors import SpecParseError
 
-__all__ = [
-    "Poset",
-    "RootedTree",
-    "IntervalSpec",
-    "parse_tree",
-    "intervals",
-    "down_set",
-    "count_antichains",
-    "interval_partition",
-    "chain_product",
-    "linear_extension",
-]
+__all__ = list(_EXPORTS["poset"])
 
 
 def _bits(mask: int) -> list[int]:
@@ -214,10 +204,9 @@ class RootedTree(Poset):
         self.parents = tuple(parents)
         super().__init__(n, ((parents[i], i) for i in range(1, n)))
         self.root = 0
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            kids[parents[i]].append(i)  # increasing id = planar order
-        self.children = tuple(tuple(v) for v in kids)
+        # a node's upper covers are its children, sorted: increasing id
+        # is planar order
+        self.children = self.upper_covers
         # side[x]: the children of every y <= x, as a bitmask.  The
         # minimal elements outside down(A) are the members of
         # OR side[a] (a in A) that down(A) misses, which is how rowmotion
@@ -225,13 +214,13 @@ class RootedTree(Poset):
         side = [0] * n
         for x in range(n):
             m = side[parents[x]] if x else 0
-            for c in kids[x]:
+            for c in self.children[x]:
                 m |= 1 << c
             side[x] = m
         self.side = tuple(side)
         # The nodes with exactly one child: that child is id + 1 and lies
         # on the same branch, one step farther from the root.
-        self.one_child_mask = sum(1 << x for x in range(n) if len(kids[x]) == 1)
+        self.one_child_mask = sum(1 << x for x in range(n) if len(self.children[x]) == 1)
 
         # Preorder ids make id order the planar depth-first order, so the
         # leaves come out left to right.

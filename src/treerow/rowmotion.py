@@ -37,20 +37,11 @@ from math import gcd, inf
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
+from . import _EXPORTS
 from .errors import BudgetExceededError
 from .poset import Poset, RootedTree, _bits, _down_mask, _extension, _node_mask
 
-__all__ = [
-    "Orbit",
-    "rho_antichain",
-    "rho_ideal",
-    "toggle",
-    "rho_via_toggles",
-    "orbit_of",
-    "all_orbits",
-    "enumerate_antichains",
-    "DEFAULT_ANTICHAIN_BUDGET",
-]
+__all__ = list(_EXPORTS["rowmotion"])
 
 DEFAULT_ANTICHAIN_BUDGET = 10**6
 

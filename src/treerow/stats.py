@@ -31,9 +31,10 @@ Rowmotion permutes each orbit, so over an orbit ``O`` every statistic
 sums to ``c0 * |O| + sum_{B in O} sum_{y in B} w[y]``, with a weight
 ``w[y]`` per node and a constant ``c0`` read off its terms
 (`_orbit_sums`).  `rowmotion._built_orbits` carries the weight sums
-through the build.  `eval_statistic`, `orbit_sum` (on an orbit it is
-given) and `families.observed_profile`, the brute-force oracle of
-``verify``, still sum member by member through `_term_sums`.
+through the build.  `eval_statistic` and `orbit_sum` (on an orbit it is
+given) still sum member by member through `_term_sums`;
+`families.observed_profile`, the brute-force oracle of ``verify``, sums
+chi and hatchi member by member on its own, without this module.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from . import _EXPORTS
 from .errors import SpecParseError
 from .poset import RootedTree, _bits, _down_mask
 from .rowmotion import (
@@ -58,18 +60,7 @@ from .rowmotion import (
 if TYPE_CHECKING:
     from .tiling import Tiling
 
-__all__ = [
-    "Statistic",
-    "parse_statistic",
-    "TilingSums",
-    "HomomesyVerdict",
-    "HomometryVerdict",
-    "eval_statistic",
-    "orbit_sum",
-    "orbit_sums_from_tiling",
-    "check_homomesy",
-    "check_homometry",
-]
+__all__ = list(_EXPORTS["stats"])
 
 _ATOMS = ("chi", "hatchi", "chi_x", "hatchi_x")
 

@@ -27,19 +27,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import _EXPORTS
 from .poset import RootedTree, _bits, interval_partition
 from .rowmotion import Orbit, _canonical, _rho_mask
 
-__all__ = [
-    "Tile",
-    "Tiling",
-    "TilingReport",
-    "tiling_of_orbit",
-    "orbit_of_tiling",
-    "validate_tiling",
-    "tile_counts",
-    "render_tiling",
-]
+__all__ = list(_EXPORTS["tiling"])
 
 BLACK = "black"
 YELLOW = "yellow"

@@ -56,6 +56,20 @@ class TestNongradedOrderSearch:
         assert "argument --prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "bad, why",
+        [("((", "unbalanced"), ("()()", "multiple roots"),
+         ("(x)", "unexpected character 'x'"), ("", "empty tree spec")],
+    )
+    def test_malformed_tree_is_a_usage_error(self, capsys, monkeypatch, bad, why):
+        search = load("nongraded_order_search")
+        monkeypatch.setattr(search, "order_search", None)  # no search may run
+        with pytest.raises(SystemExit) as exc:
+            search.main(["--tree", "(()(()))", "--tree", bad, "--trials", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tree: " in err and why in err
+
+    @pytest.mark.parametrize(
         "option", ["--trials", "--nodes", "--seed", "--max-iter", "--prime",
                    "--exact-steps"],
     )

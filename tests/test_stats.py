@@ -424,7 +424,8 @@ class TestOrbitSumsFromTheBuild:
 
     def test_no_member_is_summed(self, monkeypatch):
         """`stats`, `check_homomesy` and `check_homometry` read their sums
-        from the build; `verify` still sums member by member."""
+        from the build; `verify` still sums member by member, in `families`
+        and without `_term_sums`."""
         from treerow import families
         from treerow.cli import main
 
@@ -452,4 +453,4 @@ class TestOrbitSumsFromTheBuild:
         assert calls == []
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--family", "zipper:2"]) == 0
-        assert "_term_sums" in calls and "_down_mask" in calls
+        assert "_term_sums" not in calls and "_down_mask" in calls
