@@ -9,8 +9,9 @@ one profile engine: the disjoint union of two trees (orbit sizes pair by
 gcd and lcm) and a chain put below a forest (only the orbit through the
 empty antichain grows).  The steps work on one table, (size, delta, chi,
 hatchi) -> count, and a chain's table is the root step applied to the
-empty forest's.  Classes are labelled O1, O2, ... once, when a step or
-`observed_profile` returns them.  `observed_profile` stays brute-force
+empty forest's.  The three-leaf table is the two steps folded over its
+tree (`poset._fold`).  Classes are labelled O1, O2, ... once, when a step
+or `observed_profile` returns them.  `observed_profile` stays brute-force
 enumeration, the oracle that the closed forms and both steps are checked
 against.
 
@@ -31,7 +32,7 @@ from typing import Optional, Union
 
 from . import _EXPORTS
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, _down_mask, _is_decimal, parse_tree
+from .poset import RootedTree, _down_mask, _fold, _is_decimal, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, all_orbits
 
 __all__ = list(_EXPORTS["families"])
@@ -416,11 +417,9 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
         b = desc.b if isinstance(desc, ExtendedStar) else 1
         return OrbitProfile(tuple(_star_classes(b, desc.alphas)))
     if isinstance(desc, ThreeLeaf):
-        fork = predicted_profile(ExtendedStar(desc.b, (desc.c + 1, desc.d + 1)))
-        side = _add_root(_EMPTY_FOREST, desc.e)  # the e-chain
-        return OrbitProfile(
-            _labeled(_add_root(_union(_normalize(fork.classes), side), desc.a))
-        )
+        root = lambda table, spec: _add_root(table, spec.beta)
+        table = _fold(make_family(desc), _EMPTY_FOREST, _union, root)
+        return OrbitProfile(_labeled(table))
     if isinstance(desc, Tk):
         k = desc.k
         classes = (
@@ -514,9 +513,9 @@ def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile
     `combine_profiles`, applied to a whole tree."""
     if delta_beta < 0:
         raise ValueError("cannot shrink the root branch")
+    profile.delta_class()
     if delta_beta == 0:
         return profile
-    profile.delta_class()
     return OrbitProfile(_labeled(_add_root(_normalize(profile.classes), delta_beta)))
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
@@ -279,17 +281,28 @@ class RootedTree(Poset):
         return "".join(out)
 
     def count_antichains(self) -> int:
-        """Number of antichains, via the product recursion over subtrees."""
-        counts = [1] * self.n
-        for x in range(self.n - 1, -1, -1):
-            prod = 1
-            for c in self.children[x]:
-                prod *= counts[c]
-            counts[x] = 1 + prod
-        return counts[0]
+        """Number of antichains: a forest has the product of its trees'
+        counts, and a branch below it adds its beta singletons."""
+        return _fold(self, 1, mul, lambda count, spec: count + spec.beta)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RootedTree({self.to_spec()!r})"
+
+
+def _fold(tree: RootedTree, empty, union, root):
+    """Fold ``tree`` over its branches, leaves first: a branch's value is
+    ``root(v, spec)``, where ``v`` combines the values of the child
+    branches on its deepest node left to right by ``union``, or is
+    ``empty`` (shared, so no step may change its inputs) on a leaf branch.
+    ``interval_specs`` is in increasing order of each branch's top, and a
+    child's top has a larger id than its parent's, so the reverse walk
+    meets children first.  Returns the root branch's value."""
+    values = {}  # by top id, each kept until its parent branch takes it
+    for spec in reversed(tree.interval_specs.values()):
+        kids = tree.children[spec.nodes[0]]
+        value = reduce(union, map(values.pop, kids)) if kids else empty
+        values[spec.nodes[-1]] = root(value, spec)
+    return values[0]
 
 
 def _is_decimal(text: str) -> bool:

@@ -10,9 +10,9 @@ toggles along any linear extension, applied top element first.
 `all_orbits` takes no rowmotion step.  Rowmotion acts componentwise on a
 forest, so it joins the cycles of sibling subtrees (`_join`), and a root
 below a forest only puts ``{root}`` just after ``{}`` in the cycle through
-``{}``; it builds each tree's orbits that way from its leaves up.
-`orbit_of` still takes rowmotion steps, and `enumerate_antichains` still
-walks the antichains one by one.
+``{}``; it builds each tree's orbits that way from its leaves up, as a
+`poset._fold` over the branches.  `orbit_of` still takes rowmotion steps,
+and `enumerate_antichains` still walks the antichains one by one.
 
 The build (`_built_orbits`) also carries one integer per cycle, the sum
 of a node weight ``w[y]`` over the elements ``y`` of its members.  A
@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .errors import BudgetExceededError
-from .poset import Poset, RootedTree, _bits, _down_mask, _extension, _node_mask
+from .poset import Poset, RootedTree, _bits, _down_mask, _extension, _fold, _node_mask
 
 __all__ = list(_EXPORTS["rowmotion"])
 
@@ -306,11 +306,9 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     return out
 
 
-def _join(
-    left: list, left_sums: Optional[list], right: list, right_sums: Optional[list]
-) -> tuple[list, Optional[list]]:
-    """The cycles of the disjoint union of two forests, from each one's,
-    and their sums from the cycles' sums (None if those are None).
+def _join(left_built: tuple, right_built: tuple) -> tuple[list, Optional[list]]:
+    """The ``(cycles, sums)`` of the disjoint union of two forests, from
+    each one's (the sums None if theirs are).
 
     Rowmotion acts componentwise, so cycles ``A`` and ``B`` of sizes a and
     b give gcd(a, b) cycles of size lcm(a, b), cycle s running through
@@ -321,6 +319,7 @@ def _join(
     and every member of ``B`` lcm/b times, so it sums to
     ``lcm/a * S_A + lcm/b * S_B``.
     """
+    (left, left_sums), (right, right_sums) = left_built, right_built
     out = []
     for a in left:
         size_a = len(a)
@@ -372,35 +371,23 @@ def _built_orbits(
     """`all_orbits`, and each orbit's sum of ``weight[y]`` over the
     elements ``y`` of its members, carried through the build as the module
     docstring says.  With ``weight`` None no sum is taken, and the sums
-    come back None."""
+    come back None.  The build is a `_fold`; a subtree's value is its
+    cycles, the delta cycle first with {} at index 0, and their sums.  The
+    cycles are lists: the freed ones go back to the allocator, where tuples
+    would stay on CPython's per-size free lists and raise the peak memory.
+    """
     _check_budget(tree, budget)
-    children = tree.children
-    # built[x]: the cycles of x's subtree, its delta cycle first with {}
-    # at index 0, and their sums; kept until x's parent takes them.  The
-    # cycles are lists: the freed ones go back to the allocator, where
-    # tuples would stay on CPython's per-size free lists and raise the
-    # peak memory.
-    built: dict[int, tuple] = {}
-    for j in range(tree.n - 1, -1, -1):
-        kids = children[j]
-        if len(kids) == 1:
-            continue  # a branch is built from its deepest node
-        top = j
-        while top and len(children[top - 1]) == 1:
-            top -= 1
-        # {top}, ..., {j} go just after {}; most branches are one node
-        singles = [1 << x for x in range(top, j + 1)] if top < j else [1 << j]
-        if kids:
-            cycles, sums = built.pop(kids[0])
-            for c in kids[1:]:
-                cycles, sums = _join(cycles, sums, *built.pop(c))
-            cycles[0][1:1] = singles
-        else:
-            cycles, sums = [[0, *singles]], None if weight is None else [0]
+
+    def root(built, spec):
+        cycles, sums = built[0].copy(), built[1]
+        # {top}, ..., {deepest} go just after {}, in a copy: the leaf value is shared
+        cycles[0] = [0, *[1 << x for x in reversed(spec.nodes)], *cycles[0][1:]]
         if sums is not None:
-            sums[0] += sum(weight[top : j + 1])
-        built[top] = cycles, sums
-    (delta, *rest), sums = built[0]
+            sums = [sums[0] + sum([weight[x] for x in spec.nodes]), *sums[1:]]
+        return cycles, sums
+
+    leaf = [[0]], None if weight is None else [0]
+    (delta, *rest), sums = _fold(tree, leaf, _join, root)
     rest = list(map(_canonical, map(tuple, rest)))
     if len(rest) > 1:
         if sums is None:

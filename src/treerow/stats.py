@@ -75,6 +75,7 @@ class Statistic:
     terms: tuple[tuple[int, str, Optional[int]], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
         for coeff, atom, node in self.terms:
             if atom not in _ATOMS:
                 raise ValueError(f"unknown statistic atom {atom!r}")

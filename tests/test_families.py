@@ -18,7 +18,7 @@ from treerow import (
     predicted_profile,
     verify_family,
 )
-from treerow import families, rowmotion, stats
+from treerow import families, poset, rowmotion, stats
 from treerow.errors import (
     BudgetExceededError,
     SpecParseError,
@@ -218,6 +218,12 @@ class TestProfileAlgebra:
     def test_extend_root_identity(self):
         profile = predicted_profile(parse_family("star:3,3"))
         assert extend_root_transfer(profile, 0) is profile
+        # a profile with no orbit through the empty antichain is refused
+        # at every width, 0 included
+        headless = OrbitProfile(tuple(c for c in profile.classes if not c.delta))
+        for d in (0, 1):
+            with pytest.raises(ValueError):
+                extend_root_transfer(headless, d)
 
     def test_extend_root_matches_extended_star(self):
         for alphas, b in (("3,3", 2), ("4,2", 3), ("3,3,2", 2)):
@@ -270,22 +276,22 @@ class TestProfileAlgebra:
                     assert extended.classes == observed_profile(wide).classes
 
     def test_fold_matches_brute_force(self):
-        """Both steps folded over every plane tree with <= 9 nodes, nodes
-        with three or more children included: at each node the union of
-        the empty forest and every child's table, under one new node."""
+        """Both steps folded over every plane tree with <= 10 nodes, nodes
+        with three or more children included: at each branch the union of
+        its child branches' tables, under a chain of beta nodes."""
         trees = 0
-        for n in range(1, 10):
+        for n in range(1, 11):
             for parents in oracles.parent_vectors(n):
                 tree = RootedTree(parents)
-                tables = [None] * n
-                for x in reversed(range(n)):  # preorder: children come later
-                    table = families._EMPTY_FOREST
-                    for child in tree.children[x]:
-                        table = families._union(table, tables[child])
-                    tables[x] = families._add_root(table, 1)
-                assert families._labeled(tables[0]) == observed_profile(tree).classes
+                table = poset._fold(
+                    tree,
+                    families._EMPTY_FOREST,
+                    families._union,
+                    lambda t, spec: families._add_root(t, spec.beta),
+                )
+                assert families._labeled(table) == observed_profile(tree).classes
                 trees += 1
-        assert trees == 2056
+        assert trees == 6918
 
     def test_combine_builds_zipper_table(self):
         for n in (1, 2):

@@ -127,6 +127,13 @@ class TestIntervals:
                 # deepest first means decreasing preorder id along a chain
                 assert list(spec.nodes) == sorted(nodes, reverse=True)
 
+    def test_branches_in_increasing_order_of_top(self):
+        # poset._fold walks interval_specs backwards to meet every child
+        # branch before its parent
+        for _, tree in ALL_TREES:
+            tops = [spec.nodes[-1] for spec in tree.interval_specs.values()]
+            assert tops == sorted(set(tops))
+
     def test_branches_are_chains(self):
         for parents, tree in ALL_TREES:
             rel = oracles.relations_from_parents(parents)

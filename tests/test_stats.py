@@ -88,6 +88,13 @@ class TestStatisticAlgebra:
         assert (Statistic.hatchi() - Statistic.hatchi_x(0)).domain == "ideal"
         assert (Statistic.hatchi() - Statistic.chi()).domain == "antichain"
 
+    def test_terms_normalised_to_tuples(self):
+        listed = Statistic([[1, "chi", None]])
+        assert listed.terms == ((1, "chi", None),)
+        assert {listed, Statistic.chi()} == {Statistic.chi()}  # equal, hashable
+        assert listed + Statistic.hatchi() == parse_statistic("chi+hatchi")
+        assert Statistic.hatchi() + listed == parse_statistic("hatchi+chi")
+
     def test_bad_terms_rejected(self):
         with pytest.raises(ValueError):
             Statistic(((1, "size", None),))
