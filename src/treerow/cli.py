@@ -279,7 +279,7 @@ def _run_orbits(args) -> tuple[str, int]:
         return _emit_csv(("orbit", "size", "delta", "representative"), rows), 0
     doc = {
         "tree": name,
-        "antichains": tree.count_antichains(),
+        "antichains": sum(o.size for o in orbits),
         "orbits": [_orbit_record(o, i) for i, o in enumerate(orbits, start=1)],
     }
     return _emit_json(doc), 0

@@ -11,14 +11,17 @@ characterise exactly the tilings that arise this way, which is what
 :func:`validate_tiling` checks and :func:`orbit_of_tiling` inverts.
 
 A tiling keeps one cylinder, for the tree object it was last judged
-against: its black tiles and one int per cell, naming the black tile
-that covers the cell or marking it yellow or empty, with the verdict of
+against: its black tiles, each a plain ``(start, interval, width,
+color)`` tuple, and one int per cell, naming the black tile that covers
+the cell or marking it yellow or empty, with the verdict of
 :func:`validate_tiling` and the columns read as antichains.  Validation,
 inversion, :func:`tile_counts`, the tiling sums of :mod:`treerow.stats`
-and rendering read it; :func:`tiling_of_orbit` lays it directly,
-and builds ``Tiling.tiles`` only when they are read.  All but validation
-and rendering raise ``ValueError("invalid tiling: …")`` on a tiling that
-is not valid for the tree they are given.
+and rendering read it; :func:`tiling_of_orbit` lays it directly, with
+the orbit's members as its columns, and builds no :class:`Tile`: the
+``Tile`` objects of ``Tiling.tiles``, black and yellow, are built only
+when they are read.  All but validation and rendering raise
+``ValueError("invalid tiling: …")`` on a tiling that is not valid for the
+tree they are given.
 """
 
 from __future__ import annotations
@@ -48,11 +51,20 @@ class Tile:
     start: int  # column of the first cell, 0-based mod columns
     width: int
 
+    def __post_init__(self) -> None:
+        # an interval given as a list (as JSON reads it back) compares,
+        # hashes and looks up like the tuple
+        object.__setattr__(self, "interval", tuple(self.interval))
+
 
 @dataclass(frozen=True)
 class TilingReport:
     ok: bool
     violation: Optional[str] = None
+
+
+# the verdict of every valid tiling; frozen, so one is shared
+_VALID = TilingReport(True)
 
 
 @dataclass(eq=False)
@@ -62,17 +74,20 @@ class _Cylinder:
     covering ``(row, col)``, or ``_YELLOW``, or ``_EMPTY``.
 
     ``black`` holds the tiles that are not 1x1 yellow, which on a
-    well-shaped tiling are its black tiles.  ``cells`` is None when a tile
-    could not be laid, because it overlaps an earlier one or leaves the
-    cylinder.  ``verdict`` and ``masks`` (each column's antichain) are
-    filled in on first use.
+    well-shaped tiling are its black tiles, each as a tuple
+    ``(start, interval, width, color)``: ``sorted(black)`` is the
+    ``(start, interval)`` order, since laid tiles never share a first
+    cell.  ``cells`` is None when a tile could not be laid, because it
+    overlaps an earlier one or leaves the cylinder.  ``verdict`` and
+    ``masks`` (each column's antichain) are filled in on first use, or
+    at once by :func:`tiling_of_orbit`.
     """
 
     tree: RootedTree
-    black: list[Tile]
+    black: list[tuple[int, tuple[int, int], int, str]]
     cells: Optional[list[int]]
     verdict: Optional[TilingReport] = None
-    masks: Optional[list[int]] = None
+    masks: Optional[Sequence[int]] = None
 
 
 @dataclass(frozen=True)
@@ -93,6 +108,10 @@ class Tiling:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # tiles given as a list compare and hash like the tuple
+        object.__setattr__(self, "tiles", tuple(self.tiles))
+
     @classmethod
     def _of(cls, tree: RootedTree, columns: int, cylinder: _Cylinder) -> "Tiling":
         """The tiling laid out on ``cylinder``, its ``tiles`` not yet built."""
@@ -111,10 +130,14 @@ class Tiling:
         # a list first: tuple() of a generator grows the tuple by resizing,
         # which kept 0.45 MB more in use over every plane tree with <= 8
         # nodes (CPython 3.11, tracemalloc)
-        tiles = [
-            Tile(YELLOW, (row, row), col, 1) if k == _YELLOW else cylinder.black[k]
-            for col, row, k in _first_cells(cylinder)
-        ]
+        black = cylinder.black
+        tiles = []
+        for col, row, k in _first_cells(cylinder):
+            if k == _YELLOW:
+                tiles.append(Tile(YELLOW, (row, row), col, 1))
+            else:
+                start, interval, width, color = black[k]
+                tiles.append(Tile(color, interval, start, width))
         object.__setattr__(self, "tiles", tuple(tiles))
         return self.tiles
 
@@ -123,22 +146,16 @@ class Tiling:
         return self.tree.n_leaves
 
 
-def _sorted_tiles(tiles) -> tuple[Tile, ...]:
-    return tuple(sorted(tiles, key=lambda t: (t.start, t.interval, t.color)))
-
-
 def _first_cells(cylinder: _Cylinder):
     """``(col, row, k)`` for the first cell of each tile of a laid
     cylinder, ``k`` being the cell's mark, in a column-major scan: that is
-    the (start, interval) order of _sorted_tiles, since tiles starting in
-    one column are disjoint there."""
+    the (start, interval) order, since tiles starting in one column are
+    disjoint there."""
     n = cylinder.tree.n_leaves
     black = cylinder.black
     for i, k in enumerate(cylinder.cells):
         col, r = divmod(i, n)
-        if k == _YELLOW or (
-            k >= 0 and black[k].start == col and black[k].interval[0] == r + 1
-        ):
+        if k == _YELLOW or (k >= 0 and black[k][0] == col and black[k][1][0] == r + 1):
             yield col, r + 1, k
 
 
@@ -146,7 +163,8 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
     """Build the cylinder tiling of an orbit (column 0 = representative).
 
     The black tiles are laid straight into the tiling's cylinder, and the
-    cells they leave are yellow.
+    cells they leave are yellow.  The checks below make the columns read
+    back as the orbit's members, so they are the cylinder's ``masks``.
     """
     c = orbit.size
     n = tree.n_leaves
@@ -167,7 +185,7 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
                 f"across columns {t} and {nxt}"
             )
     cells = [_YELLOW] * (n * c)
-    black: list[Tile] = []
+    black = []
     bottoms = ~(one << 1)
     branch_of = tree.branch_of
     for t, m in enumerate(orbit.masks):
@@ -178,7 +196,7 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
                     f"orbit inconsistent with tree: {iv}-tile wider than the orbit"
                 )
             k = len(black)
-            black.append(Tile(BLACK, iv, t, beta))
+            black.append((t, iv, beta, BLACK))
             lo, hi = iv
             for col in range(t, t + beta):
                 base = col % c * n - 1
@@ -189,7 +207,7 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
                             f"{(row, col % c)} doubly covered"
                         )
                     cells[base + row] = k
-    return Tiling._of(tree, c, _Cylinder(tree, black, cells))
+    return Tiling._of(tree, c, _Cylinder(tree, black, cells, masks=orbit.masks))
 
 
 def _cylinder(tree: RootedTree, tiling: Tiling) -> _Cylinder:
@@ -208,7 +226,7 @@ def _cylinder(tree: RootedTree, tiling: Tiling) -> _Cylinder:
     n = tree.n_leaves
     specs = tree.interval_specs
     flaw = None if c >= 1 else "tiling must have at least one column"
-    black: list[Tile] = []
+    black = []
     cells: Optional[list[int]] = [_EMPTY] * (n * c)
     for tile in tiling.tiles:  # read off the old cylinder before it is replaced
         flaw = flaw or _misshapen(tile, n, c, specs)
@@ -232,7 +250,7 @@ def _cylinder(tree: RootedTree, tiling: Tiling) -> _Cylinder:
             mark = _YELLOW
         else:
             mark = len(black)
-            black.append(tile)
+            black.append((start, tile.interval, width, tile.color))
         for i in spots:
             cells[i] = mark
     cylinder = _Cylinder(tree, black, cells)
@@ -281,7 +299,9 @@ def validate_tiling(tree: RootedTree, tiling: Tiling) -> TilingReport:
     cylinder = _cylinder(tree, tiling)
     if cylinder.verdict is None:
         violation = _violation(cylinder, tiling.columns)
-        cylinder.verdict = TilingReport(violation is None, violation)
+        cylinder.verdict = (
+            _VALID if violation is None else TilingReport(False, violation)
+        )
     return cylinder.verdict
 
 
@@ -297,7 +317,7 @@ def _violation(cylinder: _Cylinder, c: int) -> Optional[str]:
         return f"cell {(r + 1, col)} not covered"
     if _black_rule_violation(cylinder, c, black) is not None:
         # name the first violation in the canonical tile order
-        return _black_rule_violation(cylinder, c, _sorted_tiles(black))
+        return _black_rule_violation(cylinder, c, sorted(black))
     # Rule for yellow runs: each maximal vertical run of yellow cells is
     # followed by the maximal partition of its row interval.
     for col in range(c):
@@ -314,7 +334,7 @@ def _violation(cylinder: _Cylinder, c: int) -> Optional[str]:
             run = (top, row - 1)
             for block in interval_partition(tree, run, proper=False):
                 k = cells[nxt * n + block[0] - 1]
-                if k < 0 or black[k].interval != block or black[k].start != nxt:
+                if k < 0 or black[k][1] != block or black[k][0] != nxt:
                     return (
                         f"yellow run {run} in column {col} is not followed "
                         f"by a {block}-tile starting at column {nxt}"
@@ -323,7 +343,7 @@ def _violation(cylinder: _Cylinder, c: int) -> Optional[str]:
 
 
 def _black_rule_violation(
-    cylinder: _Cylinder, c: int, tiles: Sequence[Tile]
+    cylinder: _Cylinder, c: int, tiles: Sequence[tuple]
 ) -> Optional[str]:
     """Rule for black tiles: a singleton-interval tile is followed by a
     yellow cell; a wider one by the maximal proper partition of its
@@ -334,21 +354,21 @@ def _black_rule_violation(
     n = tree.n_leaves
     cells = cylinder.cells
     black = cylinder.black
-    for tile in tiles:
-        lo, hi = tile.interval
-        nxt = (tile.start + tile.width) % c
+    for start, interval, width, _ in tiles:
+        lo, hi = interval
+        nxt = (start + width) % c
         if lo == hi:
             if cells[nxt * n + lo - 1] != _YELLOW:
                 return (
-                    f"{tile.interval}-tile ending before column {nxt} "
+                    f"{interval}-tile ending before column {nxt} "
                     "is not followed by a yellow tile"
                 )
             continue
-        for block in interval_partition(tree, tile.interval, proper=True):
+        for block in interval_partition(tree, interval, proper=True):
             k = cells[nxt * n + block[0] - 1]
-            if k < 0 or black[k].interval != block or black[k].start != nxt:
+            if k < 0 or black[k][1] != block or black[k][0] != nxt:
                 return (
-                    f"{tile.interval}-tile ending before column {nxt} is not "
+                    f"{interval}-tile ending before column {nxt} is not "
                     f"followed by a {block}-tile starting there"
                 )
     return None
@@ -385,18 +405,18 @@ def orbit_of_tiling(tree: RootedTree, tiling: Tiling) -> Orbit:
     return Orbit._of(_canonical(tuple(masks)))
 
 
-def _column_masks(cylinder: _Cylinder, c: int) -> list[int]:
+def _column_masks(cylinder: _Cylinder, c: int) -> Sequence[int]:
     """Each column's antichain, as a bitmask: the ``o``-th column of a
     black tile holds the ``o``-th node of its branch counted from the
     root.  Read once per cylinder."""
     if cylinder.masks is None:
         specs = cylinder.tree.interval_specs
         masks = [0] * c
-        for tile in cylinder.black:
+        for start, interval, width, _ in cylinder.black:
             # a branch's ids run up by one from its node nearest the root
-            bit = 1 << specs[tile.interval].nodes[-1]
-            for o in range(tile.width):
-                masks[(tile.start + o) % c] |= bit << o
+            bit = 1 << specs[interval].nodes[-1]
+            for o in range(width):
+                masks[(start + o) % c] |= bit << o
         cylinder.masks = masks
     return cylinder.masks
 
@@ -412,7 +432,7 @@ def _tile_counts(
     tree: RootedTree, tiling: Tiling
 ) -> dict[tuple[int, int], tuple[int, int]]:
     cylinder = _valid(tree, tiling)
-    m_counts = Counter(tile.interval for tile in cylinder.black)
+    m_counts = Counter(tile[1] for tile in cylinder.black)
     masks = _column_masks(cylinder, tiling.columns)
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for iv, spec in tree.interval_specs.items():
@@ -447,14 +467,14 @@ def _render_ascii(tiling: Tiling, cylinder: _Cylinder) -> str:
     black = cylinder.black
 
     def wraps(k: int) -> bool:
-        return k >= 0 and black[k].start + black[k].width > c
+        return k >= 0 and black[k][0] + black[k][2] > c
 
     lines = []
     for row in range(n):
         line = cells[row::n]
         chars = ["<" if wraps(line[0]) else "|"]
         for col, k in enumerate(line):
-            chars.append("#" if k >= 0 and black[k].color == BLACK else ".")
+            chars.append("#" if k >= 0 and black[k][3] == BLACK else ".")
             if col + 1 < c:
                 chars.append(" " if k >= 0 and line[col + 1] == k else "|")
         chars.append(">" if wraps(line[-1]) else "|")
@@ -482,20 +502,18 @@ def _render_svg(tiling: Tiling, cylinder: _Cylinder) -> str:
             f'fill="{fill}" stroke="black" stroke-width="1"/>'
         )
 
-    def draw(tile: Tile) -> None:
-        fill = "#444444" if tile.color == BLACK else "#ffeeaa"
-        h = tile.interval[1] - tile.interval[0] + 1
-        if tile.start + tile.width <= c:
-            parts.append(rect(tile.start, tile.interval[0], tile.width, h, fill))
-        else:
-            head = c - tile.start  # columns before the seam
-            parts.append(rect(tile.start, tile.interval[0], head + 0.5, h, fill))
-            parts.append(rect(-0.5, tile.interval[0], tile.width - head + 0.5, h, fill))
-
+    black = cylinder.black
     for col, row, k in _first_cells(cylinder):
         if k == _YELLOW:
             parts.append(rect(col, row, 1, 1, "#ffeeaa"))
+            continue
+        start, (lo, hi), width, color = black[k]
+        fill = "#444444" if color == BLACK else "#ffeeaa"
+        if start + width <= c:
+            parts.append(rect(start, lo, width, hi - lo + 1, fill))
         else:
-            draw(cylinder.black[k])
+            head = c - start  # columns before the seam
+            parts.append(rect(start, lo, head + 0.5, hi - lo + 1, fill))
+            parts.append(rect(-0.5, lo, width - head + 0.5, hi - lo + 1, fill))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

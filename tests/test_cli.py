@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import CASES
-from treerow import cli, continuous, families, stats
+from treerow import RootedTree, cli, continuous, families, stats
 from treerow.cli import main
 from treerow.families import FamilyReport
 
@@ -68,6 +68,22 @@ class TestOutputs:
         assert doc["antichains"] == 19
         assert [o["size"] for o in doc["orbits"]] == [7, 6, 6]
         assert doc["orbits"][0]["members"][0] == []
+
+    def test_orbits_counts_antichains_once(self, monkeypatch):
+        # the budget check counts them; the JSON field sums the orbit sizes
+        calls = []
+        count = RootedTree.count_antichains
+
+        def counting(tree):
+            calls.append(tree)
+            return count(tree)
+
+        monkeypatch.setattr(RootedTree, "count_antichains", counting)
+        _, out, _ = run(["orbits", "--family", "zipper:3"])
+        doc = json.loads(out)
+        assert len(calls) == 1
+        assert doc["antichains"] == count(calls[0])
+        assert doc["antichains"] == sum(o["size"] for o in doc["orbits"])
 
     def test_homomesy_witness_averages(self):
         _, out, _ = run(["homomesy", "--family", "star:3,3,2", "--stat", "chi"])

@@ -1,5 +1,9 @@
 """Cylinder tilings: construction, the two succession rules, inversion."""
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
 import oracles
@@ -20,6 +24,7 @@ from treerow import (
     tiling_of_orbit,
     validate_tiling,
 )
+from treerow.cli import main
 
 STAR_332 = parse_tree("((())(())())")
 STAR_33 = parse_tree("((())(()))")
@@ -316,6 +321,28 @@ class TestTwoRoutes:
                 )
                 assert render_tiling(explicit, "svg") == render_tiling(built, "svg")
 
+    def test_tilings_rebuilt_from_the_tiling_verbs_json(self):
+        """The ``tiling`` verb writes the tiles and their intervals as
+        lists; tiles and a tiling made from those lists are the built
+        ones."""
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["tiling", "--family", "star:3,3"]) == 0
+        records = json.loads(out.getvalue())["tilings"]
+        tree = make_family(parse_family("star:3,3"))
+        orbits = all_orbits(tree)
+        assert len(records) == len(orbits)
+        for record, orbit in zip(records, orbits):
+            built = tiling_of_orbit(tree, orbit)
+            rebuilt = Tiling(
+                tree, record["columns"], [Tile(**t) for t in record["tiles"]]
+            )
+            assert rebuilt == built and hash(rebuilt) == hash(built)
+            report = validate_tiling(tree, rebuilt)
+            assert report.ok and report == validate_tiling(tree, built)
+            assert orbit_of_tiling(tree, rebuilt) == orbit
+            assert orbit_of_tiling(tree, built) == orbit
+
     def test_one_tile_mutations(self):
         """Each mutation is either rejected, with inversion raising the
         reported violation, or inverts to a true orbit."""
@@ -381,9 +408,10 @@ class TestCountsNeedAValidTiling:
             )
 
 
-class TestYellowTilesAreBuiltOnRead:
-    def test_no_yellow_tile_until_tiles_are_read(self, monkeypatch):
-        tree = make_family(parse_family("star:3,3,2"))
+class TestTilesAreBuiltOnRead:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The colour of every Tile built while the test runs."""
         made = []
         init = Tile.__init__
 
@@ -392,6 +420,10 @@ class TestYellowTilesAreBuiltOnRead:
             init(self, color, *rest)
 
         monkeypatch.setattr(Tile, "__init__", counting_init)
+        return made
+
+    def test_no_tile_until_tiles_are_read(self, made):
+        tree = make_family(parse_family("star:3,3,2"))
         tilings = []
         for orbit in all_orbits(tree):
             tiling = tiling_of_orbit(tree, orbit)
@@ -399,10 +431,14 @@ class TestYellowTilesAreBuiltOnRead:
             assert orbit_of_tiling(tree, tiling) == orbit
             orbit_sums_from_tiling(tree, tiling)
             render_tiling(tiling)
+            render_tiling(tiling, "svg")
             tilings.append((orbit, tiling))
-        assert "yellow" not in made
+        assert made == []
         for orbit, tiling in tilings:
+            before = len(made)
             tiles = tiling.tiles
+            assert len(made) - before == len(tiles)
+            assert tiling.tiles is tiles  # built once
             assert tiles == tuple(
                 sorted(tiles, key=lambda t: (t.start, t.interval, t.color))
             )
@@ -426,23 +462,24 @@ class TestYellowTilesAreBuiltOnRead:
                 for t in tiles
                 if t.color == "yellow"
             )
-        assert made.count("yellow") == sum(
-            1 for _, tiling in tilings for t in tiling.tiles if t.color == "yellow"
-        )
+            # a black tile starts where a branch's node nearest the root is
+            specs = tree.interval_specs
+            assert {
+                (t.start, t.interval, t.width) for t in tiles if t.color == "black"
+            } == {
+                (col, iv, specs[iv].beta)
+                for col, members in enumerate(orbit.antichains)
+                for x in members
+                for iv in [tree.branch_of[x][0]]
+                if specs[iv].nodes[-1] == x
+            }
+        assert len(made) == sum(len(tiling.tiles) for _, tiling in tilings)
 
-    def test_svg_rendering_builds_no_yellow_tile(self, monkeypatch):
+    def test_svg_rendering_builds_no_tile(self, made):
         tree = make_family(parse_family("star:3,3,2"))
-        made = []
-        init = Tile.__init__
-
-        def counting_init(self, color, *rest):
-            made.append(color)
-            init(self, color, *rest)
-
-        monkeypatch.setattr(Tile, "__init__", counting_init)
         built = [tiling_of_orbit(tree, orbit) for orbit in all_orbits(tree)]
         svgs = [render_tiling(tiling, "svg") for tiling in built]
-        assert "yellow" not in made
+        assert made == []
         for tiling, svg in zip(built, svgs):
             explicit = Tiling(tree, tiling.columns, tiling.tiles)
             assert render_tiling(explicit, "svg") == svg
