@@ -20,13 +20,13 @@ import sys
 from treerow import RootedTree, order_search, parse_tree
 from treerow.continuous import _is_prime
 from treerow.errors import SpecParseError
+from treerow.poset import _is_decimal
 
 DEFAULT_PRIME = 2**61 - 1
 
 
 def at_least(text, low):
-    # ASCII digits only, as in the CLI: int() also reads "٣", "+3", "3_0", " 3"
-    if not (text.isascii() and text.isdigit()):
+    if not _is_decimal(text):
         raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
     value = int(text)
     if value < low:

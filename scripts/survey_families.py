@@ -15,6 +15,7 @@ import sys
 from itertools import product
 
 from treerow import BudgetExceededError, parse_family, verify_family
+from treerow.poset import _is_decimal
 
 DEFAULT_SWEEP = {
     "star": [
@@ -38,7 +39,7 @@ DEFAULT_SWEEP = {
 
 def _budget(text: str) -> int:
     """A budget of at least 1, in ASCII decimal digits like the CLI's."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if not _is_decimal(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive ASCII decimal, got {text!r}"
         )

@@ -345,11 +345,10 @@ def _average(total: int, size: int) -> str:
 
 
 def _run_stats(args) -> tuple[str, int]:
-    from .stats import _check_nodes, _orbit_sums, parse_statistic
+    from .stats import _orbit_sums, parse_statistic
 
     tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
-    _check_nodes(tree, stat)
     orbits, sums = _orbit_sums(tree, stat, args.budget)
     rows = [
         (i, o.size, o.delta, total, _average(total, o.size))

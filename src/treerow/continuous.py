@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .errors import RetriesExhaustedError, ZeroInFieldError
-from .poset import Poset, _extension
+from .poset import Poset, _extension, _node_mask
 from .rowmotion import _ideal_mask, _pl_run, _plan
 
 __all__ = list(_EXPORTS["continuous"])
@@ -211,8 +211,7 @@ def _pl_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoi
 
 def pl_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
     """Reflect f(x) inside the interval its neighbors allow."""
-    if not 0 <= x < poset.n:
-        raise ValueError(f"unknown node id {x}")
+    _node_mask((x,), poset.n)
     return _pl_sweep(poset, f, (x,))
 
 
@@ -351,8 +350,7 @@ def _bi_sweep(poset: Poset, f: LabeledPoint, order: Iterable[int]) -> LabeledPoi
 
 def birational_toggle(poset: Poset, f: LabeledPoint, x: int) -> LabeledPoint:
     """g(x) = (sum of lower covers) / (f(x) * sum of upper reciprocals)."""
-    if not 0 <= x < poset.n:
-        raise ValueError(f"unknown node id {x}")
+    _node_mask((x,), poset.n)
     return _bi_sweep(poset, f, (x,))
 
 

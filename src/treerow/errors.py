@@ -17,11 +17,21 @@ class SpecParseError(TreerowError, ValueError):
     """A tree/family/statistic spec string could not be parsed."""
 
 
+def _count(value: int) -> str:
+    """Decimal below 10^18, else the largest power of ten reached: Python
+    writes no int of more than 4,300 digits in decimal."""
+    if value < 10**18:
+        return str(value)
+    k = (value.bit_length() - 1) * 30102 // 100000  # 0.30102 < log10(2)
+    return f"at least 10^{k + len(str(value // 10**k)) - 1}"
+
+
 class BudgetExceededError(TreerowError):
     """An enumeration would exceed the configured budget."""
 
     def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration needs {needed} antichains, budget is {budget}")
+        needs, cap = _count(needed), _count(budget)
+        super().__init__(f"enumeration needs {needs} antichains, budget is {cap}")
         self.needed = needed
         self.budget = budget
 

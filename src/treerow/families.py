@@ -56,11 +56,9 @@ class ExtendedStar:
     alphas: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(self.alphas))
         if self.b < 1:
             raise ValueError("root branch size must be >= 1")
-        if len(self.alphas) < 1 or any(a < 2 for a in self.alphas):
-            raise ValueError("star needs at least one branch parameter, all >= 2")
+        object.__setattr__(self, "alphas", Star(self.alphas).alphas)
 
 
 @dataclass(frozen=True)
@@ -128,6 +126,8 @@ FamilyDescriptor = Union[
     Star, ExtendedStar, ThreeLeaf, Tk, Comb, ExtendedComb, Zipper, CompleteBinary
 ]
 
+_ONE_INT = {"tk": Tk, "comb": Comb, "zipper": Zipper, "cbt": CompleteBinary}
+
 
 def _ints(text: str) -> tuple[int, ...]:
     parts = text.split(",")
@@ -161,20 +161,14 @@ def parse_family(text: str) -> FamilyDescriptor:
         if len(params) != 5:
             raise SpecParseError("threeleaf takes exactly five branch sizes")
         return ThreeLeaf(*params)
-    if name == "tk":
-        return Tk(_int(rest))
-    if name == "comb":
-        return Comb(_int(rest))
+    if name in _ONE_INT:
+        return _ONE_INT[name](_int(rest))
     if name == "ecomb":
         parts = rest.split(",")
         pairs = dict(p.split("=", 1) for p in parts if "=" in p)
         if len(parts) != 2 or set(pairs) != {"n", "k"}:
             raise SpecParseError(f"ecomb wants n=N,k=K, got {rest!r}")
         return ExtendedComb(_int(pairs["n"]), _int(pairs["k"]))
-    if name == "zipper":
-        return Zipper(_int(rest))
-    if name == "cbt":
-        return CompleteBinary(_int(rest))
     raise SpecParseError(f"unknown family {name!r}")
 
 
@@ -185,16 +179,12 @@ def descriptor_string(desc: FamilyDescriptor) -> str:
         return f"estar:b={desc.b};" + ",".join(map(str, desc.alphas))
     if isinstance(desc, ThreeLeaf):
         return f"threeleaf:{desc.a},{desc.b},{desc.c},{desc.d},{desc.e}"
-    if isinstance(desc, Tk):
-        return f"tk:{desc.k}"
-    if isinstance(desc, Comb):
-        return f"comb:{desc.n}"
     if isinstance(desc, ExtendedComb):
         return f"ecomb:n={desc.n},k={desc.k}"
-    if isinstance(desc, Zipper):
-        return f"zipper:{desc.n}"
-    if isinstance(desc, CompleteBinary):
-        return f"cbt:{desc.depth}"
+    for name, cls in _ONE_INT.items():
+        if isinstance(desc, cls):
+            (value,) = vars(desc).values()
+            return f"{name}:{value}"
     raise UnsupportedFamilyError(f"unknown descriptor {desc!r}")
 
 

@@ -107,20 +107,17 @@ class Poset:
             raise ValueError("cover relations contain a directed cycle")
         self._linear_extension = topo
 
-        down = [0] * n
-        for x in topo:
-            m = 1 << x
-            for y in self.lower_covers[x]:
-                m |= down[y]
-            down[x] = m
-        up = [0] * n
-        for x in reversed(topo):
-            m = 1 << x
-            for y in self.upper_covers[x]:
-                m |= up[y]
-            up[x] = m
-        self.down = tuple(down)
-        self.up = tuple(up)
+        def closure(order, covers):  # each x and all it reaches by covers
+            masks = [0] * n
+            for x in order:
+                m = 1 << x
+                for y in covers[x]:
+                    m |= masks[y]
+                masks[x] = m
+            return tuple(masks)
+
+        self.down = closure(topo, self.lower_covers)
+        self.up = closure(reversed(topo), self.upper_covers)
 
         for x, y in self.covers:
             # x < z < y would make the stored cover redundant.
@@ -128,13 +125,6 @@ class Poset:
                 raise ValueError(f"redundant cover ({x},{y}): intermediate element exists")
 
         self.full_mask = (1 << n) - 1
-        self.minimal_mask = 0
-        self.maximal_mask = 0
-        for i in range(n):
-            if not self.lower_covers[i]:
-                self.minimal_mask |= 1 << i
-            if not self.upper_covers[i]:
-                self.maximal_mask |= 1 << i
 
     # -- order queries ---------------------------------------------------
 
@@ -142,10 +132,10 @@ class Poset:
         return bool(self.down[y] >> x & 1)
 
     def minimal_elements(self) -> frozenset[int]:
-        return frozenset(_bits(self.minimal_mask))
+        return frozenset([x for x, low in enumerate(self.lower_covers) if not low])
 
     def maximal_elements(self) -> frozenset[int]:
-        return frozenset(_bits(self.maximal_mask))
+        return frozenset([x for x, up in enumerate(self.upper_covers) if not up])
 
     def elements(self) -> range:
         return range(self.n)

@@ -152,8 +152,7 @@ def _toggle_sweep(poset: Poset, lmask: int, order: Iterable[int]) -> frozenset[i
 def toggle(poset: Poset, ideal: Iterable[int], x: int) -> frozenset[int]:
     """Flip membership of ``x`` if the result is an ideal, else no-op."""
     lmask = _ideal_mask(poset, ideal)
-    if not 0 <= x < poset.n:
-        raise ValueError(f"unknown node id {x}")
+    _node_mask((x,), poset.n)
     return _toggle_sweep(poset, lmask, (x,))
 
 

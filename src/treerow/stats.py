@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import _EXPORTS
 from .errors import SpecParseError
-from .poset import RootedTree, _bits, _down_mask
+from .poset import RootedTree, _bits, _down_mask, _node_mask
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
@@ -160,9 +160,7 @@ def parse_statistic(text: str) -> Statistic:
 def _check_nodes(tree: RootedTree, stat: Statistic) -> None:
     """Refuse a statistic naming a node the tree does not have; callers
     check once, before any enumeration."""
-    for _, _, node in stat.terms:
-        if node is not None and not 0 <= node < tree.n:
-            raise ValueError(f"unknown node id {node}")
+    _node_mask([node for _, _, node in stat.terms if node is not None], tree.n)
 
 
 def _term_sums(tree: RootedTree, stat: Statistic, amasks, lmasks=None) -> Iterator[int]:
@@ -201,7 +199,8 @@ def _orbit_sums(
     """All orbits of ``tree``, as `all_orbits` orders them, and the sum of
     ``stat`` over each: ``c0 * |O|`` plus the sum of a node weight ``w[y]``
     over the elements of the members, carried through the build (see the
-    module docstring).  The node ids must have passed ``_check_nodes``."""
+    module docstring), the node ids checked before any enumeration."""
+    _check_nodes(tree, stat)
     n = tree.n
     c0 = 0
     weight = [0] * n
@@ -273,7 +272,6 @@ class HomometryVerdict:
 def check_homomesy(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomomesyVerdict:
-    _check_nodes(tree, stat)
     orbits, sums = _orbit_sums(tree, stat, budget)
     size, total = orbits[0].size, sums[0]
     for o, s in zip(orbits[1:], sums[1:]):
@@ -287,7 +285,6 @@ def check_homometry(
 ) -> HomometryVerdict:
     """On failure the witness is canonical: the smallest offending orbit
     size, and within it the first disagreeing pair in enumeration order."""
-    _check_nodes(tree, stat)
     orbits, sums = _orbit_sums(tree, stat, budget)
     by_size: dict[int, list[tuple[Orbit, int]]] = {}
     for o, s in zip(orbits, sums):

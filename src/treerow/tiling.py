@@ -10,18 +10,18 @@ what must follow a black tile and what must follow a maximal yellow run —
 characterise exactly the tilings that arise this way, which is what
 :func:`validate_tiling` checks and :func:`orbit_of_tiling` inverts.
 
-A tiling keeps one cylinder, for the tree object it was last judged
-against: its black tiles, each a plain ``(start, interval, width,
-color)`` tuple, and one int per cell, naming the black tile that covers
-the cell or marking it yellow or empty, with the verdict of
-:func:`validate_tiling` and the columns read as antichains.  Validation,
-inversion, :func:`tile_counts`, the tiling sums of :mod:`treerow.stats`
-and rendering read it; :func:`tiling_of_orbit` lays it directly, with
-the orbit's members as its columns, and builds no :class:`Tile`: the
-``Tile`` objects of ``Tiling.tiles``, black and yellow, are built only
-when they are read.  All but validation and rendering raise
-``ValueError("invalid tiling: …")`` on a tiling that is not valid for the
-tree they are given.
+A tiling keeps one cylinder, for the tree it was last judged against
+(an equal tree counts as the same): its black tiles, each a plain
+``(start, interval, width, color)`` tuple, and one int per cell, naming
+the black tile that covers the cell or marking it yellow or empty, with
+the verdict of :func:`validate_tiling` and the columns read as
+antichains.  Validation, inversion, :func:`tile_counts`, the tiling sums
+of :mod:`treerow.stats` and rendering read it; :func:`tiling_of_orbit`
+lays it directly, with the orbit's members as its columns, and builds no
+:class:`Tile`: the ``Tile`` objects of ``Tiling.tiles``, black and
+yellow, are built only when they are read.  All but validation and
+rendering raise ``ValueError("invalid tiling: …")`` on a tiling that is
+not valid for the tree they are given.
 """
 
 from __future__ import annotations
@@ -213,14 +213,15 @@ def tiling_of_orbit(tree: RootedTree, orbit: Orbit) -> Tiling:
 def _cylinder(tree: RootedTree, tiling: Tiling) -> _Cylinder:
     """The tiling's cylinder for ``tree``.
 
-    Unless the tiling keeps one for this tree object, its tiles are laid
-    in order.  The first tile that is misshapen (by :func:`_misshapen`)
-    or that covers a cell a second time sets the verdict; the pass stops
-    at a tile that overlaps or leaves the cylinder, but lays a misshapen
-    one that fits, so that such a tiling can still be drawn.
+    Unless the tiling keeps one for this tree (an equal tree counts as
+    the same), its tiles are laid in order.  The first tile that is
+    misshapen (by :func:`_misshapen`) or that covers a cell a second time
+    sets the verdict; the pass stops at a tile that overlaps or leaves the
+    cylinder, but lays a misshapen one that fits, so that such a tiling
+    can still be drawn.
     """
     cylinder = tiling._cylinder
-    if cylinder is not None and cylinder.tree is tree:
+    if cylinder is not None and (cylinder.tree is tree or cylinder.tree == tree):
         return cylinder
     c = tiling.columns
     n = tree.n_leaves
@@ -292,9 +293,9 @@ def validate_tiling(tree: RootedTree, tiling: Tiling) -> TilingReport:
 
     Violations are reported, not raised; the first one found (in a fixed
     scan order) is named in the report.  The verdict is reached once per
-    tiling and tree object and kept on the tiling's cylinder, where
-    :func:`orbit_of_tiling`, :func:`tile_counts` and the tiling sums read
-    it.
+    tiling and tree (an equal tree counts as the same) and kept on the
+    tiling's cylinder, where :func:`orbit_of_tiling`, :func:`tile_counts`
+    and the tiling sums read it.
     """
     cylinder = _cylinder(tree, tiling)
     if cylinder.verdict is None:
@@ -386,12 +387,12 @@ def _valid(tree: RootedTree, tiling: Tiling) -> _Cylinder:
 def orbit_of_tiling(tree: RootedTree, tiling: Tiling) -> Orbit:
     """Invert :func:`tiling_of_orbit` (up to the canonical rotation).
 
-    The tiling is validated first, once per tiling and tree object.
-    Reconstruction then reads each column, mapping the ``o``-th column of
-    a black tile to the ``o``-th smallest branch element.  A final
-    rowmotion-consistency pass rejects anything that slipped past the
-    local rules (e.g. a cylinder that repeats a smaller orbit more than
-    once).
+    The tiling is validated first, once per tiling and tree (an equal tree
+    counts as the same).  Reconstruction then reads each column, mapping
+    the ``o``-th column of a black tile to the ``o``-th smallest branch
+    element.  A final rowmotion-consistency pass rejects anything that
+    slipped past the local rules (e.g. a cylinder that repeats a smaller
+    orbit more than once).
     """
     c = tiling.columns
     masks = _column_masks(_valid(tree, tiling), c)

@@ -241,6 +241,17 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_exhaustion_on_a_count_too_long_to_print(self):
+        for argv in (
+            ["orbits", "--family", "cbt:14", "--budget", "10"],
+            ["stats", "--family", "cbt:14", "--budget", "10", "--stat", "chi"],
+        ):
+            code, out, err = run(argv)
+            assert code == 3 and out == ""
+            assert err == (
+                "error: enumeration needs at least 10^5797 antichains, budget is 10\n"
+            )
+
     def test_internal_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("broken enumeration")

@@ -24,7 +24,7 @@ from treerow.errors import (
     SpecParseError,
     UnsupportedFamilyError,
 )
-from treerow.families import OrbitClass, OrbitProfile
+from treerow.families import ExtendedStar, OrbitClass, OrbitProfile
 
 
 def as_multiset(profile):
@@ -94,6 +94,16 @@ class TestDescriptors:
         ):
             with pytest.raises(ValueError):
                 parse_family(bad)
+
+    def test_extended_star_legs_follow_the_star_rule(self):
+        legs = "star needs at least one branch parameter, all >= 2"
+        with pytest.raises(ValueError, match=legs):
+            parse_family("estar:b=2;1,3")
+        with pytest.raises(ValueError, match=legs):
+            ExtendedStar(1, ())
+        # the root branch is checked first
+        with pytest.raises(ValueError, match="root branch size must be >= 1"):
+            ExtendedStar(0, (1,))
 
 
 class TestSpecs:

@@ -314,6 +314,18 @@ class TestOrbits:
             all_orbits(parse_tree(STAR_332), budget=10)
         assert len(all_orbits(parse_tree(STAR_332), budget=19)) == 3
 
+    def test_budget_refusal_of_a_count_too_long_to_print(self):
+        # 2^14300 + 1 antichains: 4,305 digits, past the 4,300 that Python
+        # writes in decimal
+        flat = parse_tree("(" + "()" * 14300 + ")")
+        with pytest.raises(BudgetExceededError) as err:
+            all_orbits(flat, budget=10)
+        assert err.value.needed == 2**14300 + 1
+        assert err.value.budget == 10
+        assert str(err.value) == (
+            "enumeration needs at least 10^4304 antichains, budget is 10"
+        )
+
     def test_budget_below_one_refused(self):
         tree = parse_tree("(())")
         for budget in (0, -1):

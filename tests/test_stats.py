@@ -137,6 +137,9 @@ class TestEval:
             orbit_sum(STAR_332, Statistic.hatchi() + Statistic.chi_x(6), orbit)
         with pytest.raises(ValueError, match="unknown node id 7"):
             orbit_sum(parse_tree("(()())"), Statistic.chi(), Orbit([{7}]))
+        # the first unknown node in term order is the one named
+        with pytest.raises(ValueError, match="unknown node id 9"):
+            orbit_sum(STAR_332, Statistic.chi_x(9) + Statistic.hatchi_x(7), orbit)
 
 
 class TestOrbitSums:

@@ -189,7 +189,7 @@ class TestValidateAndInvert:
         with pytest.raises(ValueError, match="invalid tiling"):
             orbit_of_tiling(cherry, Tiling(cherry, 1, (Tile("yellow", (1, 1), 0, 1),)))
 
-    def test_verdict_is_reused_only_for_the_same_tree(self):
+    def test_verdict_is_reused_only_for_an_equal_tree(self):
         orbit = zero_orbit(STAR_332)
         tiling = tiling_of_orbit(STAR_332, orbit)
         # same three leaves, but every branch has a single node
@@ -199,9 +199,12 @@ class TestValidateAndInvert:
             orbit_of_tiling(flat, tiling)
         report = validate_tiling(flat, tiling)
         assert not report.ok and "width" in report.violation
-        # an equal tree that is another object is judged afresh too
+        # another tree object equal to the first is judged afresh once,
+        # and the first then reads that cylinder
         assert orbit_of_tiling(parse_tree(STAR_332.to_spec()), tiling) == orbit
+        cylinder = tiling._cylinder
         assert orbit_of_tiling(STAR_332, tiling) == orbit
+        assert tiling._cylinder is cylinder
 
     def test_invert_raises_after_a_reported_violation(self):
         tiling = tiling_of_orbit(STAR_332, zero_orbit(STAR_332))
@@ -421,6 +424,16 @@ class TestTilesAreBuiltOnRead:
 
         monkeypatch.setattr(Tile, "__init__", counting_init)
         return made
+
+    def test_an_equal_tree_builds_no_tile(self, made):
+        tree = make_family(parse_family("star:3,3,2"))
+        for orbit in all_orbits(tree):
+            tiling = tiling_of_orbit(tree, orbit)
+            equal = parse_tree(tree.to_spec())
+            assert equal is not tree
+            assert validate_tiling(equal, tiling).ok
+            assert orbit_of_tiling(equal, tiling) == orbit
+        assert made == []
 
     def test_no_tile_until_tiles_are_read(self, made):
         tree = make_family(parse_family("star:3,3,2"))
