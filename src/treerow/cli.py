@@ -12,8 +12,14 @@ JSON is written by a small writer of its own, byte for byte what
 ``indent`` set, ``json.dumps`` always runs the pure-Python encoder, one
 call per value: on ``orbits`` for a tree with tens of thousands of
 antichains that took about half of the verb's time.  The writer writes a
-list of ints, or of int lists (orbit members), from its ``repr`` with a
-few C-level string replaces, and joins every piece once at the end.
+list of ints from its ``repr`` with one C-level replace, and joins every
+piece once at the end.  Orbit records hold the ``Orbit`` itself, whose
+members are written straight from their masks, with no id lists: each
+mask is read a byte at a time, and the ids of a byte value at a byte
+position are joined into text on first use and kept for the rest of the
+document, one table per line indent (``_ByteTexts``).  A member is then
+at most ceil(n/8) lookups and one join.  The tables live for one
+document only, so a shell run gains what an in-process call gains.
 
 Each call builds its parser afresh, but only the named verb's.  Building
 the full parser, nine subparsers and their options, took about 1.5 ms of
@@ -55,8 +61,8 @@ import argparse
 import io
 import sys
 import time
-from itertools import chain
 from math import gcd
+from operator import getitem
 from typing import TYPE_CHECKING, Optional
 
 try:
@@ -183,24 +189,25 @@ def _input_poset(args) -> tuple[Poset, str]:
 
 
 def _orbit_record(orbit: Orbit, oid: int) -> dict:
-    members = orbit.as_id_lists()
-    return {"id": oid, "size": orbit.size, "delta": orbit.delta, "members": members}
+    return {"id": oid, "size": orbit.size, "delta": orbit.delta, "members": orbit}
 
 
 def _emit_json(obj) -> str:
     parts: list[str] = []
-    _write_json(obj, "\n", parts)
+    _write_json(obj, "\n", parts, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _write_json(obj, nl: str, out: list[str]) -> None:
+def _write_json(obj, nl: str, out: list[str], texts: dict) -> None:
     """Append ``obj`` to ``out`` as ``json.dumps(obj, indent=2)`` writes it,
     ``nl`` being the line break and indent of the line it starts on.
 
     Only the types the CLI emits are written: dict with str keys, list,
-    str, int, bool and None; any other raises ``TypeError``.  A list of
-    ints, or of int lists, is written from its ``repr`` in C.
+    str, int, bool, None, and an ``Orbit`` as the list of its members'
+    id lists; any other raises ``TypeError``.  A list of ints is written
+    from its ``repr`` in C.  ``texts`` holds the orbit writer's byte
+    texts for the one document being written.
     """
     kind = type(obj)
     if obj is None:
@@ -211,6 +218,8 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         out.append(repr(obj))
     elif kind is str:
         out.append(encode_basestring_ascii(obj))
+    elif kind is Orbit:
+        _write_orbit(obj.masks, nl, out, texts)
     elif not obj and (kind is list or kind is dict):
         out.append("[]" if kind is list else "{}")
     elif kind is dict:
@@ -221,41 +230,64 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         sep = inner
         for key, value in obj.items():
             out += (sep, encode_basestring_ascii(key), ": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, texts)
             sep = "," + inner
         out += (nl, "}")
     elif kind is list:
         inner = nl + "  "
-        kinds = set(map(type, obj))
-        if kinds == {int}:
+        if set(map(type, obj)) == {int}:
             out += ("[", inner, repr(obj)[1:-1].replace(", ", "," + inner), nl, "]")
-        elif kinds == {list} and set(map(type, chain.from_iterable(obj))) <= {int}:
-            out += ("[", inner, _int_lists(obj, inner), nl, "]")
         else:
             out.append("[")
             sep = inner
             for value in obj:
                 out.append(sep)
-                _write_json(value, inner, out)
+                _write_json(value, inner, out, texts)
                 sep = "," + inner
             out += (nl, "]")
     else:
         raise TypeError(f"{kind.__name__} is not written as JSON")
 
 
-def _int_lists(lists: list, nl: str) -> str:
-    """The items of a list of int lists, each on a line starting ``nl``,
-    rewritten from the one-line ``repr`` of the list (ints hold no
-    bracket, comma or space, so each token stands for one thing)."""
-    deeper = nl + "  "
-    return (
-        repr(lists)[1:-1]
-        .replace("[", "[" + deeper)
-        .replace("]", nl + "]")
-        .replace(", ", "," + deeper)
-        .replace("]," + deeper, "]," + nl)  # between lists, not ints
-        .replace("[" + deeper + nl + "]", "[]")  # an empty list
-    )
+class _ByteTexts(dict):
+    """The ids of byte ``base // 8`` of a mask, as text, by the byte's
+    value: the ids ``base + i`` of its set bits ``i``, joined with ``sep``.
+    A value is joined on its first lookup; 0 is the empty text."""
+
+    __slots__ = ("base", "sep")
+
+    def __init__(self, base: int, sep: str):
+        super().__init__({0: ""})
+        self.base = base
+        self.sep = sep
+
+    def __missing__(self, byte: int) -> str:
+        ids = [str(self.base + i) for i in range(8) if byte >> i & 1]
+        text = self[byte] = self.sep.join(ids)
+        return text
+
+
+def _write_orbit(masks: tuple[int, ...], nl: str, out: list[str], texts: dict) -> None:
+    """Append the orbit of ``masks`` as ``_write_json`` writes the list of
+    its members' id lists, from the masks' bytes.  ``texts`` maps the
+    ids' line start to one ``_ByteTexts`` per byte position."""
+    inner = nl + "  "  # a member's line
+    deeper = inner + "  "  # an id's line
+    sep = "," + deeper
+    rows = texts.setdefault(deeper, [])
+    width = (max(masks).bit_length() + 7) // 8
+    while len(rows) < width:
+        rows.append(_ByteTexts(8 * len(rows), sep))
+    head, tail = "[" + deeper, inner + "]"
+    members = [
+        head
+        + sep.join(filter(None, map(getitem, rows, m.to_bytes(width, "little"))))
+        + tail
+        if m
+        else "[]"
+        for m in masks
+    ]
+    out += ("[", inner, ("," + inner).join(members), nl, "]")
 
 
 def _emit_csv(header, rows) -> str:

@@ -37,9 +37,12 @@ def _bits(mask: int) -> list[int]:
 
 
 def _node_mask(members: Iterable[int], n: float) -> int:
-    """The mask of the node ids ``members``, each checked to be in ``0..n-1``."""
+    """The mask of the node ids ``members``, each checked to be an int (not
+    a bool) in ``0..n-1``."""
     mask = 0
     for x in members:
+        if type(x) is not int:
+            raise ValueError(f"node id {x!r} is not an int")
         if not 0 <= x < n:
             raise ValueError(f"unknown node id {x}")
         mask |= 1 << x
@@ -185,8 +188,12 @@ class RootedTree(Poset):
         path = [0]
         for i in range(1, n):
             p = parents[i]
-            if not isinstance(p, int):
-                raise ValueError(f"node {i} has no parent")
+            if type(p) is not int:  # None, or a bool or float posing as an id
+                raise ValueError(
+                    f"node {i} has no parent"
+                    if p is None
+                    else f"parent {p!r} of node {i} is not an int"
+                )
             while path and path[-1] != p:
                 path.pop()
             if not path:

@@ -81,6 +81,10 @@ class Statistic:
                 raise ValueError(f"unknown statistic atom {atom!r}")
             if (node is None) == atom.endswith("_x"):
                 raise ValueError(f"atom {atom} and node {node} do not go together")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} is not an int")
+            if node is not None and type(node) is not int:
+                raise ValueError(f"node id {node!r} is not an int")
 
     @classmethod
     def chi(cls) -> "Statistic":

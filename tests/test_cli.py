@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import CASES
-from treerow import RootedTree, cli, continuous, families, stats
+from treerow import Orbit, RootedTree, cli, continuous, families, stats
 from treerow.cli import main
 from treerow.families import FamilyReport
 
@@ -378,17 +378,27 @@ class TestParser:
 
 
 def reference_json(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)``, an ``Orbit`` spelled as the list of its
+    members' id lists, which is how the CLI writes one."""
+    return json.dumps(obj, indent=2, default=lambda o: o.as_id_lists()) + "\n"
 
 
-# documents of the types the CLI writes; lists of int lists and long int
-# lists take the writer's fast paths
+# orbits of distinct members with ids on both sides of byte boundaries
+ORBITS = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=299), max_size=6),
+    min_size=1,
+    max_size=5,
+    unique=True,
+).map(Orbit)
+# documents of the types the CLI writes; orbits and long int lists take
+# the writer's fast paths
 SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=-(10**40), max_value=10**40)
     | st.text()
+    | ORBITS
 )
 DOCUMENTS = st.recursive(
     SCALARS | st.lists(st.integers()) | st.lists(st.lists(st.integers(), max_size=4)),
@@ -446,6 +456,54 @@ class TestJsonWriter:
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
             cli._emit_json(doc)
+
+
+# ids at the ends of the first bytes and of the first two 64-bit words
+EDGE_IDS = [0, 7, 8, 63, 64, 299]
+
+
+class TestOrbitWriter:
+    """Orbits written from their masks against ``json.dumps`` of their id
+    lists."""
+
+    @pytest.mark.parametrize(
+        "orbit",
+        [
+            Orbit([EDGE_IDS]),
+            Orbit([[x] for x in EDGE_IDS]),
+            Orbit([EDGE_IDS, [0, 299], [7, 8], [63, 64], [8, 9, 10, 11, 12, 13, 14, 15]]),
+            Orbit([[]]),
+            Orbit([[], [0]]),
+            Orbit([[0], [], [1, 2]]),
+            Orbit([[299]]),
+        ],
+    )
+    def test_members(self, orbit):
+        for doc in (orbit, [orbit], {"members": orbit}, [[orbit, [orbit]]]):
+            assert cli._emit_json(doc) == reference_json(doc)
+
+    def test_two_depths_in_one_document(self):
+        # the byte texts are kept per line indent within one document
+        a, b = Orbit([EDGE_IDS, [1], []]), Orbit([[8, 64], [7]])
+        doc = {
+            "orbits": [cli._orbit_record(a, 1), cli._orbit_record(b, 2)],
+            "witness": {"orbits": [cli._orbit_record(b, 1), cli._orbit_record(a, 2)]},
+            "bare": [a, b],
+        }
+        assert cli._emit_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--tree", "(" * 300 + ")" * 300],
+            ["orbits", "--family", "cbt:3"],
+            ["orbits", "--family", "comb:6"],
+        ],
+    )
+    def test_cli_output_is_json_dumps_of_itself(self, argv):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestModuleEntryPoint:

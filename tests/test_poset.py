@@ -68,6 +68,12 @@ class TestParseTree:
         with pytest.raises(ValueError):
             RootedTree([None, -1])
 
+    @pytest.mark.parametrize("parent", [True, False, 0.0, 1.0, "0"])
+    def test_parents_are_ints(self, parent):
+        # True would otherwise stand for parent 1
+        with pytest.raises(ValueError, match="of node 2 is not an int"):
+            RootedTree([None, 0, parent])
+
 
 class TestPoset:
     def test_cycle_rejected(self):

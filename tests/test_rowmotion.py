@@ -179,6 +179,14 @@ class TestToggles:
         with pytest.raises(ValueError, match="unknown node id 5"):
             toggle(parse_tree("(()())"), set(), 5)
 
+    @pytest.mark.parametrize("node", [True, False, 1.0, 0.5])
+    def test_toggle_node_ids_are_ints(self, node):
+        tree = parse_tree("(()())")
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            toggle(tree, set(), node)
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            toggle(tree, [0, node], 2)
+
 
 class TestOrbits:
     def test_orbit_canonical_rotation(self):
@@ -224,6 +232,14 @@ class TestOrbits:
     def test_orbit_rejects_repeats(self):
         with pytest.raises(ValueError):
             Orbit((frozenset(), frozenset({1}), frozenset()))
+
+    @pytest.mark.parametrize("node", [True, False, 1.0, 0.5])
+    def test_orbit_node_ids_are_ints(self, node):
+        # True would otherwise stand for node 1
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            Orbit([[node]])
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            Orbit.from_cycle([[0], [2, node]])
 
     def test_orbit_rejects_no_members(self):
         with pytest.raises(ValueError, match="at least one member"):

@@ -103,6 +103,25 @@ class TestStatisticAlgebra:
         with pytest.raises(ValueError):
             Statistic(((1, "chi_x", None),))
 
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, True, False, Fraction(1), "1"])
+    def test_coefficients_are_ints(self, coeff):
+        # 0.5*chi would print a spec that parse_statistic refuses
+        with pytest.raises(ValueError, match="coefficient .* is not an int"):
+            Statistic(((coeff, "chi", None),))
+
+    def test_scaling_by_a_non_integer_refused(self):
+        with pytest.raises(ValueError, match="coefficient 0.5 is not an int"):
+            0.5 * Statistic.hatchi_x(2)
+
+    @pytest.mark.parametrize("node", [True, False, 1.0, 0.5])
+    def test_node_ids_are_ints(self, node):
+        # True would otherwise stand for node 1
+        for make in (Statistic.chi_x, Statistic.hatchi_x):
+            with pytest.raises(ValueError, match="node id .* is not an int"):
+                make(node)
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            Statistic(((1, "chi", None), (2, "chi_x", node)))
+
 
 class TestEval:
     def test_hand_values(self):
