@@ -11,9 +11,11 @@ empty antichain grows).  The steps work on one table, (size, delta, chi,
 hatchi) -> count, and a chain's table is the root step applied to the
 empty forest's.  The three-leaf table is the two steps folded over its
 tree (`poset._fold`).  Classes are labelled O1, O2, ... once, when a step
-or `observed_profile` returns them.  `observed_profile` stays brute-force
-enumeration, the oracle that the closed forms and both steps are checked
-against.
+or `observed_profile` returns them.  `observed_profile` enumerates: it
+builds the orbits once, carrying each orbit's hatchi sum through the
+build (`rowmotion._hatchi_weight`), and counts the members' chi from
+their masks.  It is the table that the closed forms and both steps are
+checked against; the tests hold it to a member-by-member sum.
 
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
@@ -32,8 +34,8 @@ from typing import Optional, Union
 
 from . import _EXPORTS
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, _down_mask, _fold, _is_decimal, parse_tree
-from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, all_orbits
+from .poset import RootedTree, _fold, _is_decimal, parse_tree
+from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, _built_orbits, _hatchi_weight
 
 __all__ = list(_EXPORTS["families"])
 
@@ -512,13 +514,14 @@ def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile
 def observed_profile(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> OrbitProfile:
-    """Brute-force orbit table: enumerate, sum, group."""
+    """Enumerated orbit table: one orbit build, which carries each orbit's
+    hatchi sum, and each orbit's chi counted off its members' masks."""
+    c0, weight = _hatchi_weight(tree)
+    orbits, sums = _built_orbits(tree, budget, weight)
     table: _Table = {}
-    for orbit in all_orbits(tree, budget=budget):
-        masks = orbit.masks
-        chi = sum(map(int.bit_count, masks))
-        hatchi = sum([_down_mask(tree, m).bit_count() for m in masks])
-        key = (orbit.size, orbit.delta, chi, hatchi)
+    for orbit, s in zip(orbits, sums):
+        size = orbit.size
+        key = (size, orbit.delta, sum(map(int.bit_count, orbit.masks)), c0 * size + s)
         table[key] = table.get(key, 0) + 1
     return OrbitProfile(_labeled(table))
 

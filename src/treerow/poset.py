@@ -91,7 +91,12 @@ class Poset:
         if n <= 0:
             raise ValueError("poset must have at least one element")
         self.n = n
-        self.covers: tuple[tuple[int, int], ...] = tuple(sorted(set(map(tuple, covers))))
+        pairs = list(map(tuple, covers))
+        for end in (end for pair in pairs for end in pair):
+            # a bool or float would pass the range check; int subclasses are kept
+            if isinstance(end, bool) or not isinstance(end, int):
+                raise ValueError(f"cover end {end!r} is not an int")
+        self.covers: tuple[tuple[int, int], ...] = tuple(sorted(set(pairs)))
         lower: list[list[int]] = [[] for _ in range(n)]
         upper: list[list[int]] = [[] for _ in range(n)]
         for x, y in self.covers:

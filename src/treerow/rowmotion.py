@@ -22,8 +22,9 @@ adds ``w[x] + ... + w[j]`` to the delta cycle, its singletons being the
 only new members.  Rowmotion permutes each orbit, and the complement of
 ``down(A)`` is the disjoint union of the subtrees ``up[y]``, y in
 ``rho(A)``, so every statistic's orbit sum is ``c0 * |O|`` plus such a
-weight sum (`stats._orbit_sums`).  `all_orbits` is the same build with
-no weights.
+weight sum (`stats._orbit_sums`; hatchi's weight is `_hatchi_weight`,
+which `families.observed_profile` reads too).  `all_orbits` is the same
+build with no weights.
 
 Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
 of the ideal's indicator point, 0 on the ideal and 1 off it; `rho_ideal`
@@ -362,6 +363,15 @@ def all_orbits(
     each orbit it has not seen, would meet them.
     """
     return _built_orbits(tree, budget, None)[0]
+
+
+def _hatchi_weight(tree: RootedTree) -> tuple[int, list[int]]:
+    """hatchi as a constant ``c0`` and a node weight ``w``: the complement
+    of ``down(A)`` is the disjoint union of the subtrees ``up[y]``, y in
+    ``rho(A)``, so ``hatchi(A) = n - sum_{y in rho(A)} |up[y]|``, and over
+    an orbit ``O`` hatchi sums to ``n * |O|`` plus the sum of
+    ``w[y] = -|up[y]|`` over the elements of its members."""
+    return tree.n, [-u.bit_count() for u in tree.up]
 
 
 def _built_orbits(

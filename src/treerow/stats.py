@@ -31,10 +31,11 @@ Rowmotion permutes each orbit, so over an orbit ``O`` every statistic
 sums to ``c0 * |O| + sum_{B in O} sum_{y in B} w[y]``, with a weight
 ``w[y]`` per node and a constant ``c0`` read off its terms
 (`_orbit_sums`).  `rowmotion._built_orbits` carries the weight sums
-through the build.  `eval_statistic` and `orbit_sum` (on an orbit it is
-given) still sum member by member through `_term_sums`;
-`families.observed_profile`, the brute-force oracle of ``verify``, sums
-chi and hatchi member by member on its own, without this module.
+through the build, and `rowmotion._hatchi_weight` states hatchi's weight
+once, for this module and for `families.observed_profile`, the observed
+table of ``verify``, which reads it without importing this module.
+`eval_statistic` and `orbit_sum` (on an orbit it is given) still sum
+member by member through `_term_sums`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .rowmotion import (
     _antichain_mask,
     _built_orbits,
     _checked_antichain,
+    _hatchi_weight,
     _ideal_mask,
 )
 
@@ -205,17 +207,17 @@ def _orbit_sums(
     over the elements of the members, carried through the build (see the
     module docstring), the node ids checked before any enumeration."""
     _check_nodes(tree, stat)
-    n = tree.n
     c0 = 0
-    weight = [0] * n
+    weight = [0] * tree.n
     for coeff, atom, node in stat.terms:
         if atom == "chi":
             weight = [w + coeff for w in weight]
         elif atom == "chi_x":
             weight[node] += coeff
         elif atom == "hatchi":
-            c0 += coeff * n
-            weight = [w - coeff * u.bit_count() for w, u in zip(weight, tree.up)]
+            c_hat, w_hat = _hatchi_weight(tree)
+            c0 += coeff * c_hat
+            weight = [w + coeff * h for w, h in zip(weight, w_hat)]
         else:  # hatchi_x: the y <= node are its down-set
             c0 += coeff
             for y in _bits(tree.down[node]):

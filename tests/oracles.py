@@ -181,6 +181,29 @@ def random_parents(rng, n):
     return parents
 
 
+# -- orbit tables, member by member -----------------------------------------
+
+def orbit_table(down, orbits):
+    """The (size, delta, chi, hatchi) -> count table of ``orbits``, each a
+    sequence of antichain bitmasks, summed member by member: chi counts a
+    member's elements and hatchi those of the ideal it generates, the union
+    of ``down[x]`` (the down-set mask of x) over its elements x.  Delta is
+    1 on the orbit holding the empty antichain."""
+    table = {}
+    for masks in orbits:
+        chi = hatchi = 0
+        for mask in masks:
+            ideal = 0
+            for x in range(mask.bit_length()):
+                if mask >> x & 1:
+                    chi += 1
+                    ideal |= down[x]
+            hatchi += bin(ideal).count("1")
+        key = (len(masks), int(0 in masks), chi, hatchi)
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
 # -- leaf intervals, the slow way --------------------------------------------
 
 def leaf_intervals(parents):

@@ -1,5 +1,8 @@
 """Family constructors, closed-form orbit tables, profile algebra."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import oracles
@@ -25,6 +28,22 @@ from treerow.errors import (
     UnsupportedFamilyError,
 )
 from treerow.families import ExtendedStar, OrbitClass, OrbitProfile
+
+
+def member_profile(tree):
+    """The orbit table summed member by member (`oracles.orbit_table`) over
+    the orbits of `all_orbits`, labelled as `observed_profile` labels it."""
+    orbits = [o.masks for o in rowmotion.all_orbits(tree)]
+    return OrbitProfile(families._labeled(oracles.orbit_table(tree.down, orbits)))
+
+
+def survey_sweep():
+    """Every descriptor `scripts/survey_families.py` sweeps by default."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "survey_families.py"
+    spec = importlib.util.spec_from_file_location("survey_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [text for texts in module.DEFAULT_SWEEP.values() for text in texts]
 
 
 def as_multiset(profile):
@@ -259,7 +278,7 @@ class TestProfileAlgebra:
         trees = {
             n: [RootedTree(p) for p in oracles.parent_vectors(n)] for n in range(1, 8)
         }
-        observed = {t: observed_profile(t) for ts in trees.values() for t in ts}
+        observed = {t: member_profile(t) for ts in trees.values() for t in ts}
         cases = 0
         for nl in range(1, 8):
             for nr in range(1, 9 - nl):
@@ -269,7 +288,7 @@ class TestProfileAlgebra:
                             combined = combine_profiles(
                                 observed[left], observed[right], b
                             )
-                            direct = observed_profile(graft(left, right, b))
+                            direct = member_profile(graft(left, right, b))
                             assert combined.classes == direct.classes
                             cases += 1
         assert cases == 885
@@ -279,11 +298,11 @@ class TestProfileAlgebra:
         for n in range(1, 8):
             for parents in oracles.parent_vectors(n):
                 tree = RootedTree(parents)
-                profile = observed_profile(tree)
+                profile = member_profile(tree)
                 for d in (1, 2):
                     wide = parse_tree("(" * d + tree.to_spec() + ")" * d)
                     extended = extend_root_transfer(profile, d)
-                    assert extended.classes == observed_profile(wide).classes
+                    assert extended.classes == member_profile(wide).classes
 
     def test_fold_matches_brute_force(self):
         """Both steps folded over every plane tree with <= 10 nodes, nodes
@@ -299,7 +318,7 @@ class TestProfileAlgebra:
                     families._union,
                     lambda t, spec: families._add_root(t, spec.beta),
                 )
-                assert families._labeled(table) == observed_profile(tree).classes
+                assert families._labeled(table) == member_profile(tree).classes
                 trees += 1
         assert trees == 6918
 
@@ -360,9 +379,10 @@ class TestVerify:
             calls.append(tree.n)
             return build(tree, budget, weight)
 
-        # all_orbits and the orbit sums of stats both build through
-        # _built_orbits; stats holds its own binding
-        for module in (rowmotion, stats):
+        # all_orbits, the orbit sums of stats and observed_profile all
+        # build through _built_orbits; stats and families hold their own
+        # bindings
+        for module in (rowmotion, stats, families):
             monkeypatch.setattr(module, "_built_orbits", counted)
         assert verify_family(parse_family("cbt:3")).ok
         assert calls == [15]
@@ -375,3 +395,22 @@ class TestVerify:
         desc = parse_family("star:3,2")
         observed = observed_profile(make_family(desc))
         assert as_multiset(observed) == as_multiset(predicted_profile(desc))
+
+
+class TestObservedProfile:
+    """`observed_profile` reads each orbit's hatchi sum off the orbit
+    build; it must give the member-by-member table, labels included."""
+
+    def test_every_plane_tree_up_to_ten_nodes(self):
+        count = 0
+        for n in range(1, 11):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                assert observed_profile(tree) == member_profile(tree), tree.to_spec()
+                count += 1
+        assert count == 6918
+
+    @pytest.mark.parametrize("text", survey_sweep())
+    def test_survey_descriptors(self, text):
+        tree = make_family(parse_family(text))
+        assert observed_profile(tree) == member_profile(tree)

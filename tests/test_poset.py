@@ -87,6 +87,9 @@ class TestPoset:
             (0, [], "at least one element"),
             (2, [(0, 5)], r"cover \(0,5\) out of range"),
             (2, [(1, 1)], r"reflexive cover \(1,1\)"),
+            # False and True would otherwise stand for 0 and 1
+            (2, [(False, True)], "cover end False is not an int"),
+            (3, [(0, 1.0)], r"cover end 1\.0 is not an int"),
         ]
         for n, covers, message in cases:
             with pytest.raises(ValueError, match=message):
