@@ -11,11 +11,10 @@ JSON is written by a small writer of its own, byte for byte what
 ``json.dumps(obj, indent=2)`` writes (the tests hold it to that).  With
 ``indent`` set, ``json.dumps`` always runs the pure-Python encoder, one
 call per value: on ``orbits`` for a tree with tens of thousands of
-antichains that took about half of the verb's time.  The writer writes a
-list of ints from its ``repr`` with one C-level replace, and joins every
-piece once at the end.  Orbit records hold the ``Orbit`` itself, whose
-members are written straight from their masks, with no id lists: each
-mask is read a byte at a time, and the ids of a byte value at a byte
+antichains that took about half of the verb's time.  The writer joins
+every piece once at the end.  Orbit records hold the ``Orbit`` itself,
+whose members are written straight from their masks, with no id lists:
+each mask is read a byte at a time, and the ids of a byte value at a byte
 position are joined into text on first use and kept for the rest of the
 document, one table per line indent (``_ByteTexts``).  A member is then
 at most ceil(n/8) lookups and one join.  The tables live for one
@@ -205,9 +204,8 @@ def _write_json(obj, nl: str, out: list[str], texts: dict) -> None:
 
     Only the types the CLI emits are written: dict with str keys, list,
     str, int, bool, None, and an ``Orbit`` as the list of its members'
-    id lists; any other raises ``TypeError``.  A list of ints is written
-    from its ``repr`` in C.  ``texts`` holds the orbit writer's byte
-    texts for the one document being written.
+    id lists; any other raises ``TypeError``.  ``texts`` holds the orbit
+    writer's byte texts for the one document being written.
     """
     kind = type(obj)
     if obj is None:
@@ -235,16 +233,13 @@ def _write_json(obj, nl: str, out: list[str], texts: dict) -> None:
         out += (nl, "}")
     elif kind is list:
         inner = nl + "  "
-        if set(map(type, obj)) == {int}:
-            out += ("[", inner, repr(obj)[1:-1].replace(", ", "," + inner), nl, "]")
-        else:
-            out.append("[")
-            sep = inner
-            for value in obj:
-                out.append(sep)
-                _write_json(value, inner, out, texts)
-                sep = "," + inner
-            out += (nl, "]")
+        out.append("[")
+        sep = inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out, texts)
+            sep = "," + inner
+        out += (nl, "]")
     else:
         raise TypeError(f"{kind.__name__} is not written as JSON")
 

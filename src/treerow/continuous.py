@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .errors import RetriesExhaustedError, ZeroInFieldError
-from .poset import Poset, _extension, _node_mask
+from .poset import Poset, _extension, _least_int, _node_mask
 from .rowmotion import _ideal_mask, _pl_run, _plan
 
 __all__ = list(_EXPORTS["continuous"])
@@ -489,8 +489,10 @@ def order_search(
     fresh random values, up to `max_retries` times.  A modulus ``p`` must
     be prime, and a start point given with it must live mod ``p`` too.
     """
-    if max_iter < 1:
+    if _least_int("max_iter", max_iter) < 1:
         raise ValueError("max_iter must be positive")
+    if _least_int("max_retries", max_retries) < 0:
+        raise ValueError("max_retries must be >= 0")
     if kind not in ("pl", "birational"):
         raise ValueError(f"unknown rowmotion kind {kind!r}")
     if f0 is not None:

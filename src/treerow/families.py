@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 from . import _EXPORTS
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, _fold, _is_decimal, parse_tree
+from .poset import RootedTree, _fold, _is_decimal, _least_int, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, _built_orbits, _hatchi_weight
 
 __all__ = list(_EXPORTS["families"])
@@ -48,7 +48,7 @@ class Star:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
-        if len(self.alphas) < 1 or any(a < 2 for a in self.alphas):
+        if not self.alphas or _least_int("branch parameter", *self.alphas) < 2:
             raise ValueError("star needs at least one branch parameter, all >= 2")
 
 
@@ -58,7 +58,7 @@ class ExtendedStar:
     alphas: tuple[int, ...]
 
     def __post_init__(self):
-        if self.b < 1:
+        if _least_int("root branch size", self.b) < 1:
             raise ValueError("root branch size must be >= 1")
         object.__setattr__(self, "alphas", Star(self.alphas).alphas)
 
@@ -74,7 +74,7 @@ class ThreeLeaf:
     e: int
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d, self.e) < 1:
+        if _least_int("branch size", self.a, self.b, self.c, self.d, self.e) < 1:
             raise ValueError("all five branch sizes must be >= 1")
 
 
@@ -83,7 +83,7 @@ class Tk:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
+        if _least_int("k", self.k) < 2:
             raise ValueError("k must be >= 2")
 
 
@@ -92,7 +92,7 @@ class Comb:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _least_int("n", self.n) < 1:
             raise ValueError("n must be >= 1")
 
 
@@ -102,7 +102,7 @@ class ExtendedComb:
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+        if _least_int("n", self.n) < 1 or _least_int("k", self.k) < 1:
             raise ValueError("n and k must be >= 1")
 
 
@@ -111,7 +111,7 @@ class Zipper:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _least_int("n", self.n) < 1:
             raise ValueError("n must be >= 1")
 
 
@@ -120,7 +120,7 @@ class CompleteBinary:
     depth: int
 
     def __post_init__(self):
-        if self.depth < 1:
+        if _least_int("depth", self.depth) < 1:
             raise ValueError("depth must be >= 1")
 
 
@@ -250,7 +250,7 @@ def make_family(desc: FamilyDescriptor) -> RootedTree:
 
 def chain(m: int) -> RootedTree:
     """The path with m nodes."""
-    if m < 1:
+    if _least_int("chain length", m) < 1:
         raise ValueError("chain needs at least one node")
     return parse_tree(_chain_spec(m))
 
@@ -258,7 +258,7 @@ def chain(m: int) -> RootedTree:
 def graft(left: RootedTree, right: RootedTree, b: int) -> RootedTree:
     """Hang both trees below a new b-node root branch (left = lower leaf
     labels)."""
-    if b < 1:
+    if _least_int("root branch size", b) < 1:
         raise ValueError("root branch size must be >= 1")
     return parse_tree("(" * b + left.to_spec() + right.to_spec() + ")" * b)
 
@@ -492,7 +492,7 @@ def _add_root(table: _Table, k: int) -> _Table:
 def combine_profiles(left: OrbitProfile, right: OrbitProfile, b: int) -> OrbitProfile:
     """Orbit table of the tree whose root branch (b nodes) splits into two
     subtrees with the given tables: their disjoint union under a b-chain."""
-    if b < 1:
+    if _least_int("root branch size", b) < 1:
         raise ValueError("root branch size must be >= 1")
     left.delta_class()
     right.delta_class()
@@ -503,7 +503,7 @@ def combine_profiles(left: OrbitProfile, right: OrbitProfile, b: int) -> OrbitPr
 def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile:
     """Widen the root branch by delta_beta nodes: the same root step as in
     `combine_profiles`, applied to a whole tree."""
-    if delta_beta < 0:
+    if _least_int("delta_beta", delta_beta) < 0:
         raise ValueError("cannot shrink the root branch")
     profile.delta_class()
     if delta_beta == 0:

@@ -328,11 +328,8 @@ def _join(left_built: tuple, right_built: tuple) -> tuple[list, Optional[list]]:
             g = gcd(size_a, size_b)
             reps_b = size_a // g  # lcm / size_b
             a_run = a * (size_b // g)
-            if g == 1:
-                out.append(list(map(or_, a_run, b * reps_b)))
-            else:
-                for s in range(g):
-                    out.append(list(map(or_, a_run, (b[s:] + b[:s]) * reps_b)))
+            for s in range(g):
+                out.append(list(map(or_, a_run, (b[s:] + b[:s]) * reps_b)))
     if left_sums is None:
         return out, None
     sums = []
@@ -398,11 +395,8 @@ def _built_orbits(
     leaf = [[0]], None if weight is None else [0]
     (delta, *rest), sums = _fold(tree, leaf, _join, root)
     rest = list(map(_canonical, map(tuple, rest)))
-    if len(rest) > 1:
-        if sums is None:
-            rest.sort(key=lambda c: _lex_key(c[0]))
-        else:
-            pairs = sorted(zip(rest, sums[1:]), key=lambda p: _lex_key(p[0][0]))
-            rest = [c for c, _ in pairs]
-            sums[1:] = [s for _, s in pairs]
-    return (Orbit._of(tuple(delta)), *map(Orbit._of, rest)), sums
+    keys = [_lex_key(c[0]) for c in rest]
+    order = sorted(range(len(rest)), key=keys.__getitem__)
+    if sums is not None:
+        sums = [sums[0], *[sums[i + 1] for i in order]]
+    return (Orbit._of(tuple(delta)), *[Orbit._of(rest[i]) for i in order]), sums

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import _EXPORTS
 from .errors import SpecParseError
-from .poset import RootedTree, _bits, _down_mask, _node_mask
+from .poset import RootedTree, _bits, _down_mask, _least_int, _node_mask
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
@@ -83,10 +83,9 @@ class Statistic:
                 raise ValueError(f"unknown statistic atom {atom!r}")
             if (node is None) == atom.endswith("_x"):
                 raise ValueError(f"atom {atom} and node {node} do not go together")
-            if type(coeff) is not int:
-                raise ValueError(f"coefficient {coeff!r} is not an int")
-            if node is not None and type(node) is not int:
-                raise ValueError(f"node id {node!r} is not an int")
+            _least_int("coefficient", coeff)
+            if node is not None:
+                _least_int("node id", node)
 
     @classmethod
     def chi(cls) -> "Statistic":

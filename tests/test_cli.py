@@ -436,6 +436,9 @@ class TestJsonWriter:
             [[], [0], [1, 3, 5], []],
             [True, 1, False, 0, None],
             [[True], [1]],
+            [[[0, 1], [2]], [], [[]], [[3], []]],
+            {"a": [[[1]], [[], [2, 3]]], "b": []},
+            [0, [1, [2, [3, []]]]],
             {"": "", "k\u00e9y": "\"\\\n\t\u0001 \u00e9\u4e2d\U0001f600"},
             [-1, 0, 2**64, -(2**100)],
             {"a": [[1, 2], [3]], "b": {"c": []}, "d": [{}, [], ""]},

@@ -321,6 +321,25 @@ class TestOrderSearch:
         ]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_iter", True),
+            ("max_iter", 2.5),
+            ("max_retries", False),
+            ("max_retries", 1.0),
+        ],
+    )
+    def test_step_and_retry_limits_are_ints(self, option, value):
+        tree = treerow.poset.parse_tree("(()())")
+        with pytest.raises(ValueError, match=f"{option} {value!r} is not an int"):
+            order_search(tree, rng=random.Random(1), **{option: value})
+
+    def test_negative_retries_refused(self):
+        # -3 used to give up at the first zero, "after -3 restarts"
+        with pytest.raises(ValueError, match="max_retries must be >= 0"):
+            order_search(chain_product(2, 2), p=5, rng=random.Random(1), max_retries=-3)
+
     def test_no_repeat_outcome(self):
         result = order_search(
             chain_product(2, 2), rng=random.Random(0), kind="pl", max_iter=3

@@ -27,7 +27,18 @@ from treerow.errors import (
     SpecParseError,
     UnsupportedFamilyError,
 )
-from treerow.families import ExtendedStar, OrbitClass, OrbitProfile
+from treerow.families import (
+    Comb,
+    CompleteBinary,
+    ExtendedComb,
+    ExtendedStar,
+    OrbitClass,
+    OrbitProfile,
+    Star,
+    ThreeLeaf,
+    Tk,
+    Zipper,
+)
 
 
 def member_profile(tree):
@@ -123,6 +134,49 @@ class TestDescriptors:
         # the root branch is checked first
         with pytest.raises(ValueError, match="root branch size must be >= 1"):
             ExtendedStar(0, (1,))
+
+
+STAR_33_PROFILE = predicted_profile(Star((3, 3)))
+
+
+class TestParametersAreInts:
+    """A bool or a non-int parameter is refused before its range check:
+    True would pass it as 1, and 1.5 would fail later with TypeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Comb(True), "n True is not an int"),
+            (lambda: Star((2.5,)), r"branch parameter 2\.5 is not an int"),
+            (lambda: Star((3, True)), "branch parameter True is not an int"),
+            (lambda: ExtendedStar(1.0, (3,)), r"root branch size 1\.0 is not an int"),
+            (lambda: ThreeLeaf(1.5, 1, 1, 1, 1), r"branch size 1\.5 is not an int"),
+            (lambda: ThreeLeaf(1, 1, 1, 1, True), "branch size True is not an int"),
+            (lambda: Tk(3.0), r"k 3\.0 is not an int"),
+            (lambda: ExtendedComb(2, True), "k True is not an int"),
+            (lambda: Zipper("2"), "n '2' is not an int"),
+            (lambda: CompleteBinary(True), "depth True is not an int"),
+            (lambda: chain(True), "chain length True is not an int"),
+            (
+                lambda: graft(chain(1), chain(1), 1.5),
+                r"root branch size 1\.5 is not an int",
+            ),
+            (
+                lambda: combine_profiles(STAR_33_PROFILE, STAR_33_PROFILE, True),
+                "root branch size True is not an int",
+            ),
+            (lambda: extend_root_transfer(STAR_33_PROFILE, False), "delta_beta False"),
+            (lambda: extend_root_transfer(STAR_33_PROFILE, 0.5), r"delta_beta 0\.5"),
+        ],
+        ids=[
+            "comb", "star-float", "star-bool", "estar", "threeleaf-float",
+            "threeleaf-bool", "tk", "ecomb", "zipper", "cbt", "chain", "graft",
+            "combine", "extend-bool", "extend-float",
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSpecs:

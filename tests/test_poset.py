@@ -112,6 +112,30 @@ class TestPoset:
         with pytest.raises(ValueError):
             chain_product(0, 3)
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [(True, 2, "chain length True"), (2, 1.5, r"chain length 1\.5")],
+    )
+    def test_grid_sides_are_ints(self, p, q, message):
+        with pytest.raises(ValueError, match=message + " is not an int"):
+            chain_product(p, q)
+
+    def test_covers_given_shuffled_come_out_sorted(self):
+        # the cover tables are appended in the order of the sorted covers
+        rng = random.Random(5)
+        posets = [chain_product(2, 3), chain_product(3, 4), parse_tree("(()()(()())()())")]
+        for base in posets:
+            for _ in range(5):
+                covers = list(base.covers)
+                rng.shuffle(covers)
+                poset = Poset(base.n, covers)
+                assert poset.covers == base.covers
+                for table in (poset.lower_covers, poset.upper_covers):
+                    assert all(list(v) == sorted(v) for v in table)
+                for x in range(base.n):
+                    assert set(poset.lower_covers[x]) == {a for a, b in covers if b == x}
+                    assert set(poset.upper_covers[x]) == {b for a, b in covers if a == x}
+
 
 class TestIntervals:
     def test_star_332_branches(self):
@@ -142,6 +166,16 @@ class TestIntervals:
         for _, tree in ALL_TREES:
             tops = [spec.nodes[-1] for spec in tree.interval_specs.values()]
             assert tops == sorted(set(tops))
+
+    def test_interval_ends_by_start_are_strictly_descending(self):
+        # interval_partition takes the first end that fits as the largest
+        for _, tree in ALL_TREES:
+            ends = {}
+            for lo, hi in tree.interval_specs:
+                ends.setdefault(lo, set()).add(hi)
+            assert set(tree._starts) == set(ends) == set(range(1, tree.n_leaves + 1))
+            for lo, his in tree._starts.items():
+                assert his == sorted(ends[lo], reverse=True)
 
     def test_branches_are_chains(self):
         for parents, tree in ALL_TREES:
@@ -204,6 +238,14 @@ class TestIntervalPartition:
             interval_partition(tree, (1, 1), proper=True)
         with pytest.raises(ValueError):
             interval_partition(tree, (2, 3), proper=True)  # not a tree interval
+        # a leaf 1.5 starts no interval, and True would pass for leaf 1;
+        # (True, 3) and (1.0, 3) equal (1, 3), which the memo now holds
+        assert interval_partition(tree, (1, 3), proper=True) == ((1, 1), (2, 2), (3, 3))
+        with pytest.raises(ValueError, match=r"interval end 1\.5 is not an int"):
+            interval_partition(tree, (1.5, 2))
+        for end in (True, 1.0):
+            with pytest.raises(ValueError, match=f"interval end {end!r} is not an int"):
+                interval_partition(tree, (end, 3), proper=True)
 
 
 class TestEnumerationHelpers:

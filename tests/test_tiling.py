@@ -59,6 +59,13 @@ class TestConstruction:
         yellow = {(t.interval[0], t.start) for t in tiling.tiles if t.color == "yellow"}
         assert yellow == {(1, 0), (2, 0), (3, 0), (1, 4), (2, 4), (3, 3), (3, 5)}
 
+    def test_tiles_come_in_start_and_interval_order(self):
+        for tree in TREES:
+            for orbit in all_orbits(tree):
+                tiles = tiling_of_orbit(tree, orbit).tiles
+                keys = [(t.start, t.interval) for t in tiles]
+                assert keys == sorted(set(keys)), tree.to_spec()
+
     def test_chain_orbit_is_one_long_tile(self):
         chain = parse_tree("((()))")
         tiling = tiling_of_orbit(chain, zero_orbit(chain))
@@ -158,13 +165,58 @@ class TestValidateAndInvert:
             (Tile("purple", (1, 1), 0, 1), "color"),
             (Tile("black", (0, 1), 0, 1), "tile rows (0, 1) out of range"),
             (Tile("black", (1, 1), 0, 9), "tile width 9 out of range"),
+            # a field that is not an int is named, in the same order
+            (Tile("black", (1, 1), 0.5, 1), "tile start 0.5 is not an int"),
+            (Tile("black", "ab", 0, 1), "tile rows ('a', 'b') are not two ints"),
+            (Tile("black", (1, 2, 3), 0, 1), "tile rows (1, 2, 3) are not two ints"),
+            (Tile("black", (1.0, 1.0), 0, 1), "tile rows (1.0, 1.0) are not two ints"),
+            (Tile("black", (1, True), 0, 1), "tile rows (1, True) are not two ints"),
+            (Tile("black", (1, 1), 0, True), "tile width True is not an int"),
+            (Tile("black", (1, 1), 0, 1.5), "tile width 1.5 is not an int"),
+            (Tile("purple", (1, 1), 0.5, 1), "unknown color 'purple'"),
+            (Tile("black", (0, 1), 0.5, 1), "tile rows (0, 1) out of range"),
+            (Tile("black", (1, 1), 9, 0.5), "tile start 9 out of range"),
         ]
         for tile, fragment in cases:
-            report = validate_tiling(
-                STAR_332, Tiling(STAR_332, 7, (tile,) + ok.tiles[1:])
-            )
+            tiling = Tiling(STAR_332, 7, (tile,) + ok.tiles[1:])
+            report = validate_tiling(STAR_332, tiling)
             assert not report.ok
             assert fragment in report.violation, report.violation
+            message = f"invalid tiling: {report.violation}"
+            with pytest.raises(ValueError) as err:
+                orbit_of_tiling(STAR_332, tiling)
+            assert str(err.value) == message
+            with pytest.raises(ValueError) as err:
+                tile_counts(tiling)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "tile",
+        [
+            Tile("black", (1, 1), 0.5, 1),
+            Tile("black", "ab", 0, 1),
+            Tile("black", (1, 1), 0, True),
+            Tile("yellow", (1.0, 1.0), 0, 1),
+        ],
+    )
+    def test_a_tile_field_that_is_not_an_int_is_not_drawn(self, tile):
+        ok = tiling_of_orbit(STAR_332, zero_orbit(STAR_332))
+        tiling = Tiling(STAR_332, 7, (tile,) + ok.tiles[1:])
+        for format in ("ascii", "svg"):
+            with pytest.raises(ValueError, match="cannot render"):
+                render_tiling(tiling, format)
+
+    @pytest.mark.parametrize("columns", [1.5, True, "7", None])
+    def test_columns_that_are_not_an_int(self, columns):
+        ok = tiling_of_orbit(STAR_332, zero_orbit(STAR_332))
+        tiling = Tiling(STAR_332, columns, ok.tiles)
+        report = validate_tiling(STAR_332, tiling)
+        assert report.violation == f"tiling columns {columns!r} is not an int"
+        for read in (lambda t: orbit_of_tiling(STAR_332, t), tile_counts):
+            with pytest.raises(ValueError, match="invalid tiling: tiling columns"):
+                read(tiling)
+        with pytest.raises(ValueError, match="cannot render"):
+            render_tiling(tiling)
 
     def test_doubled_cylinder_is_locally_valid_but_not_an_orbit(self):
         """Both succession rules are local, so gluing two copies of an
