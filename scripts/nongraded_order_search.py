@@ -16,34 +16,18 @@ known, the interesting ones are the rest.
 import argparse
 import random
 import sys
+from functools import partial
 
 from treerow import RootedTree, order_search, parse_tree
+from treerow.cli import _decimal
 from treerow.continuous import _is_prime
 from treerow.errors import SpecParseError
-from treerow.poset import _is_decimal
 
 DEFAULT_PRIME = 2**61 - 1
 
 
-def at_least(text, low):
-    if not _is_decimal(text):
-        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-    return value
-
-
-def nonnegative(text):
-    return at_least(text, 0)
-
-
-def positive(text):
-    return at_least(text, 1)
-
-
 def prime(text):
-    value = at_least(text, 2)
+    value = _decimal(text, 2)
     if not _is_prime(value):
         raise argparse.ArgumentTypeError(f"expected a prime modulus, got {text!r}")
     return value
@@ -83,14 +67,16 @@ def main(argv=None):
     ap.add_argument(
         "--tree", action="append", type=tree_spec, default=[], help="tree spec, repeatable"
     )
-    ap.add_argument("--trials", type=nonnegative, default=10, help="random trees to draw")
-    ap.add_argument("--nodes", type=positive, default=8, help="nodes per random tree")
-    ap.add_argument("--seed", type=nonnegative, default=0)
-    ap.add_argument("--max-iter", type=positive, default=10**5)
+    ap.add_argument("--trials", type=_decimal, default=10, help="random trees to draw")
+    ap.add_argument(
+        "--nodes", type=partial(_decimal, low=1), default=8, help="nodes per random tree"
+    )
+    ap.add_argument("--seed", type=_decimal, default=0)
+    ap.add_argument("--max-iter", type=partial(_decimal, low=1), default=10**5)
     ap.add_argument("--prime", type=prime, default=DEFAULT_PRIME)
     ap.add_argument(
         "--exact-steps",
-        type=nonnegative,
+        type=_decimal,
         default=50,
         help="max iterations of the exact-arithmetic blowup probe (0 disables)",
     )

@@ -16,10 +16,11 @@ as a slow-running sanity check:
 
 import argparse
 import sys
+from functools import partial
 from itertools import product
 
 from treerow import BudgetExceededError, parse_family, verify_family
-from treerow.poset import _is_decimal
+from treerow.cli import _decimal
 
 DEFAULT_SWEEP = {
     "star": [
@@ -42,15 +43,6 @@ DEFAULT_SWEEP = {
 }
 
 
-def _budget(text: str) -> int:
-    """A budget of at least 1, in ASCII decimal digits like the CLI's."""
-    if not _is_decimal(text) or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive ASCII decimal, got {text!r}"
-        )
-    return int(text)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -59,7 +51,7 @@ def main(argv=None):
     )
     ap.add_argument(
         "--budget",
-        type=_budget,
+        type=partial(_decimal, low=1),
         default=10**6,
         help="antichain enumeration budget per tree (default 1e6)",
     )

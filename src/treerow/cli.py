@@ -45,8 +45,8 @@ layers it needs when it runs: ``tiling`` for ``tiling`` and ``render``,
 for ``verify`` and any ``--family`` input, ``continuous`` for
 ``birational`` and ``pl``.  The default of
 ``--max-iter`` is filled in by the lifts' handler, so no other verb's
-parser loads ``continuous``; ``csv`` and ``traceback`` load only for CSV
-output and exit 4.  ``python3 -m treerow.cli homometry --tree
+parser loads ``continuous``; ``traceback`` loads only on exit 4, and CSV
+is a plain join.  ``python3 -m treerow.cli homometry --tree
 "((())(())())" --stat chi``, medians of 21 interleaved shell runs with
 ``PYTHONDONTWRITEBYTECODE=1`` (each run compiles what it loads), went
 from 128 to 93 ms while ``python3 -c pass`` took 42 ms, and from 169 to
@@ -57,7 +57,6 @@ bytecode cached, from 116 to 92 ms (2-core VM, Python 3.11.7).
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 import time
 from math import gcd
@@ -89,12 +88,14 @@ RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
 
-def _decimal(text: str) -> int:
-    """An integer option, in ASCII decimal digits like the numbers in specs."""
+def _decimal(text: str, low: int = 0) -> int:
+    """An integer option, at least ``low``, in ASCII decimal digits like specs."""
     if not _is_decimal(text):
         raise argparse.ArgumentTypeError(
             f"expected ASCII decimal digits, got {text!r}"
         )
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
 
 
@@ -286,13 +287,8 @@ def _write_orbit(masks: tuple[int, ...], nl: str, out: list[str], texts: dict) -
 
 
 def _emit_csv(header, rows) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The rows as ``csv.writer`` writes them: no field here needs quoting."""
+    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
 
 
 def _run_orbits(args) -> tuple[str, int]:

@@ -33,8 +33,8 @@ residues, but the sweep works on projective pairs ``(a, b)`` with value
 ``a/b``: a toggle is a ratio of subtraction-free products
 (Einstein–Propp, arXiv:1310.5294; Grinberg–Roby, arXiv:1402.6178), so
 no inverse is taken per toggle, and the public maps normalise once at
-the end.  A mod-p point takes ints and `Fraction`s (``num · den⁻¹``)
-and rejects any other value.
+the end.  A mod-p point takes plain ints and `Fraction`s
+(``num · den⁻¹``) and rejects any other value, a bool included.
 
 `order_search` runs its loop on bare values and builds no point per
 step: it compares PL numerators, exact `Fraction`s, or mod-p pairs as
@@ -147,21 +147,19 @@ def _is_prime(n: int) -> bool:
 
 
 def _require_prime(p) -> None:
-    if not (isinstance(p, int) and _is_prime(p)):
+    if not _is_prime(_least_int("prime modulus", p)):
         raise ValueError(f"mod-p arithmetic needs a prime modulus, got {p!r}")
 
 
 def _residue(v, p: int) -> int:
-    """An int reduced mod p, or a `Fraction` as num·den⁻¹ mod p."""
-    if isinstance(v, int):
-        return v % p
+    """A `Fraction` as num·den⁻¹ mod p, or a plain int reduced mod p."""
     if isinstance(v, Fraction):
         if v.denominator % p == 0:
             raise ValueError(
                 f"{v} has no residue mod {p}: {p} divides its denominator"
             )
         return v.numerator * pow(v.denominator, -1, p) % p
-    raise ValueError(f"mod-p values must be ints or Fractions, got {v!r}")
+    return _least_int("mod-p values are ints or Fractions:", v) % p
 
 
 def _require_rational(f: LabeledPoint) -> None:
@@ -260,7 +258,7 @@ def _bi_run_rational(plan: tuple, vals: list) -> None:
         vals[x] = num / (vals[x] * recip)
 
 
-def _cover_sum(lines: list, ids: list, top: str, bottom: str, t: str, u: str):
+def _cover_sum(lines: list, ids: tuple, top: str, bottom: str, t: str, u: str):
     """Factors of the running sum t/u of ``top[y]/bottom[y]`` over ``ids``:
     none for an empty sum, the pair itself for one term; a longer sum
     appends its lines, ``t ← t·bottom[y] + top[y]·u``, ``u ← u·bottom[y]``."""
@@ -293,13 +291,12 @@ def _modp_sweep(plan: tuple) -> Callable[[list, list, int], None]:
     an empty sum is 1 and leaves its factors out.  Each value stays a
     ratio of units, so a one-term sum cannot vanish: a sum of two or more
     terms is checked, S before N, and either raises.  Every index in the
-    source is written with ``%d`` from ``int`` of the plan's entry.
+    source is a plan entry, a plain int, written with ``%d``.
     """
     lines = ["def sweep(a, b, p):"]
     for x, lo, up in plan:
-        x = int(x)
-        num, den = _cover_sum(lines, [int(y) for y in lo], "a", "b", "n", "d")
-        s, q = _cover_sum(lines, [int(z) for z in up], "b", "a", "s", "q")
+        num, den = _cover_sum(lines, lo, "a", "b", "n", "d")
+        s, q = _cover_sum(lines, up, "b", "a", "s", "q")
         if len(up) > 1:
             lines.append("    if not s:")
             lines.append(

@@ -10,6 +10,11 @@ one interval form a chain — a *branch* — recorded as an
 
 Down-sets and order tests are backed by per-element bitmasks, which keeps
 the rowmotion inner loops cheap without any dependencies.
+
+Every integer argument (sizes, ids, ends, budgets, parameters, moduli,
+mod-p values) is a plain int, ``type(x) is int``: a bool, float or int
+subclass is refused with ``ValueError``.  `_least_int` states the rule once,
+each entry point checks it, and nothing behind one checks or converts again.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ def _bits(mask: int) -> list[int]:
 
 
 def _least_int(name: str, *values) -> int:
-    """The least of ``values``, once each is checked to be an int: a bool
-    is not one, though it would pass a range check."""
+    """The least of ``values``, once each is checked to be a plain int (the
+    module docstring's rule); ``ValueError`` naming ``name`` otherwise."""
     for value in values:
         if type(value) is not int:
             raise ValueError(f"{name} {value!r} is not an int")
@@ -46,14 +51,14 @@ def _least_int(name: str, *values) -> int:
 
 
 def _node_mask(members: Iterable[int], n: float) -> int:
-    """The mask of the node ids ``members``, each checked to be an int (not
-    a bool) in ``0..n-1``."""
+    """The mask of the node ids ``members``, each checked to be a plain int
+    in ``0..n-1``."""
     mask = 0
     for x in members:
         # _least_int's rule, inline: every lift step checks its ids here, and
         # the call put about 8 % on the lifts workload's op_p50_ms
         if type(x) is not int:
-            raise ValueError(f"node id {x!r} is not an int")
+            _least_int("node id", x)  # raises
         if not 0 <= x < n:
             raise ValueError(f"unknown node id {x}")
         mask |= 1 << x
@@ -99,14 +104,12 @@ class Poset:
     """
 
     def __init__(self, n: int, covers: Iterable[tuple[int, int]]):
-        if n <= 0:
+        if _least_int("poset size", n) < 1:
             raise ValueError("poset must have at least one element")
         self.n = n
         pairs = list(map(tuple, covers))
-        for end in (end for pair in pairs for end in pair):
-            # a bool or float would pass the range check; int subclasses are kept
-            if isinstance(end, bool) or not isinstance(end, int):
-                raise ValueError(f"cover end {end!r} is not an int")
+        if pairs:
+            _least_int("cover end", *[end for pair in pairs for end in pair])
         self.covers: tuple[tuple[int, int], ...] = tuple(sorted(set(pairs)))
         lower: list[list[int]] = [[] for _ in range(n)]
         upper: list[list[int]] = [[] for _ in range(n)]
@@ -278,18 +281,14 @@ class RootedTree(Poset):
 
     def to_spec(self) -> str:
         """Nested-parenthesis form; inverse of :func:`parse_tree`."""
-        out: list[str] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            x, closing = stack.pop()
-            if closing:
+        out, path = [], []  # path: the open nodes, root first
+        for i, p in enumerate(self.parents):
+            while path and path[-1] != p:  # close down to i's parent
+                path.pop()
                 out.append(")")
-                continue
             out.append("(")
-            stack.append((x, True))
-            for c in reversed(self.children[x]):
-                stack.append((c, False))
-        return "".join(out)
+            path.append(i)
+        return "".join(out) + ")" * len(path)
 
     def count_antichains(self) -> int:
         """Number of antichains: a forest has the product of its trees'
@@ -433,7 +432,7 @@ def _extension(poset: Poset, extension: Optional[Sequence[int]]) -> tuple[int, .
     if extension is None:
         return linear_extension(poset)
     ext = tuple(extension)
-    if sorted(ext) != list(range(poset.n)):
+    if len(ext) != poset.n or _node_mask(ext, poset.n) != poset.full_mask:
         raise ValueError("extension is not a permutation of the elements")
     pos = {x: i for i, x in enumerate(ext)}
     for a, b in poset.covers:

@@ -40,7 +40,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .errors import BudgetExceededError
-from .poset import Poset, RootedTree, _bits, _down_mask, _extension, _fold, _node_mask
+from .poset import (
+    Poset, RootedTree, _bits, _down_mask, _extension, _fold, _least_int, _node_mask
+)
 
 __all__ = list(_EXPORTS["rowmotion"])
 
@@ -274,7 +276,7 @@ def enumerate_antichains(
 
 def _check_budget(tree: RootedTree, budget: int) -> None:
     """Refuse ``budget < 1``, or a tree with more antichains than it."""
-    if budget < 1:
+    if _least_int("budget", budget) < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     total = tree.count_antichains()
     if total > budget:

@@ -9,6 +9,7 @@ import pytest
 import oracles
 import treerow.continuous
 import treerow.poset
+import treerow.rowmotion
 from treerow import (
     LabeledPoint,
     Poset,
@@ -554,10 +555,19 @@ class TestModpAgainstOracle:
 
 
 class LoudInt(int):
-    """An int that logs every attempt to turn it into text, and would put
-    code into generated source if it were ever written there as text."""
+    """An int that logs every attempt to turn it into text or into another
+    int, and would put code into generated source if it were ever written
+    there as text, or a wrong index if it were ever converted."""
 
     calls = []
+
+    def __int__(self):
+        LoudInt.calls.append("__int__")
+        return 0
+
+    def __index__(self):
+        LoudInt.calls.append("__index__")
+        return 0
 
     def __format__(self, spec):
         LoudInt.calls.append("__format__")
@@ -638,34 +648,70 @@ class TestModpSweep:
                         vals = want
         assert zeros == {"reciprocal", "toggling"}
 
-    def test_covers_are_written_as_plain_ints(self):
+    def test_covers_are_written_as_plain_ints(self, monkeypatch):
         plain, covers = long_and_wide()[0]
-        loud = Poset(plain.n, [(LoudInt(a), LoudInt(b)) for a, b in covers])
-        assert type(loud.lower_covers[4][0]) is LoudInt
-        assert type(linear_extension(loud)[-1]) is LoudInt
+        sweep = treerow.continuous._modp_sweep
+        misses = sweep.cache_info().misses
+        # no LoudInt reaches a plan through an entry point
+        with pytest.raises(ValueError, match="cover end .* is not an int"):
+            Poset(plain.n, [(LoudInt(a), LoudInt(b)) for a, b in covers])
+        f = LabeledPoint(plain, (2,) * plain.n, "modp", 7)
+        ext = [LoudInt(x) for x in linear_extension(plain)]
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            birational_rowmotion(plain, f, ext)
+        with pytest.raises(ValueError, match="node id .* is not an int"):
+            birational_toggle(plain, f, LoudInt(4))
+        assert sweep.cache_info().misses == misses
+        # given one anyway, the generator writes each entry's own value
+        plan = treerow.rowmotion._plan(plain, reversed(linear_extension(plain)))
+        loud_plan = tuple(
+            (LoudInt(x), tuple(map(LoudInt, lo)), tuple(map(LoudInt, up)))
+            for x, lo, up in plan
+        )
+        sources = []
+        monkeypatch.setattr(
+            treerow.continuous,
+            "compile",
+            lambda *args: sources.append(args[0]) or compile(*args),
+            raising=False,
+        )
         LoudInt.calls.clear()
-        treerow.continuous._modp_sweep.cache_clear()
+        loud, quiet = sweep.__wrapped__(loud_plan), sweep.__wrapped__(plan)
+        assert sources[0] == sources[1]
+
+        def run(compiled, vals, p):
+            a, b = list(vals), [1] * len(vals)
+            return values_or_zero(lambda: compiled(a, b, p) or (a, b))
+
         rng = random.Random(5)
         seen = []
         for p in (5, 7, P61):
             for _ in range(20):
-                vals = tuple(rng.randrange(1, p) for _ in range(plain.n))
-                got = values_or_zero(lambda: birational_rowmotion(
-                    loud, LabeledPoint(loud, vals, "modp", p)
-                ))
-                want = values_or_zero(lambda: birational_rowmotion(
-                    plain, LabeledPoint(plain, vals, "modp", p)
-                ))
-                assert got == want, (p, vals)
+                vals = [rng.randrange(1, p) for _ in range(plain.n)]
+                got = run(loud, vals, p)
+                assert got == run(quiet, vals, p), (p, vals)
                 seen.append(got)
-            result = order_search(loud, max_iter=50, p=p, rng=random.Random(p))
-            assert result == order_search(
-                plain, max_iter=50, p=p, rng=random.Random(p)
-            )
         assert any(isinstance(w, str) for w in seen)
-        # the one compile was of the loud plan; the plain runs reused it
-        assert treerow.continuous._modp_sweep.cache_info().misses == 1
         assert LoudInt.calls == []
+
+    def test_an_int_subclass_cannot_change_a_later_sweep(self):
+        """An int subclass whose ``__int__`` lies is refused as a cover end
+        and as an extension entry, so that it can neither be compiled into
+        a sweep nor leave one in the cache for the equal plain grid."""
+
+        class Lying(int):
+            def __int__(self):
+                return 0
+
+        grid = chain_product(2, 2)
+        f = LabeledPoint(grid, (2, 3, 4, 5), "modp", 101)
+        treerow.continuous._modp_sweep.cache_clear()
+        with pytest.raises(ValueError, match="cover end 0 is not an int"):
+            Poset(4, [(Lying(a), Lying(b)) for a, b in grid.covers])
+        ext = [Lying(x) for x in linear_extension(grid)]
+        with pytest.raises(ValueError, match="node id 0 is not an int"):
+            birational_rowmotion(grid, f, ext)
+        assert birational_rowmotion(grid, f).values == (81, 75, 31, 62)
 
 
 # signed values, so that cover sums can cancel and both kinds of zero occur

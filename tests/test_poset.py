@@ -6,10 +6,12 @@ over every plane tree with at most MAX_N nodes.
 
 import itertools
 import random
+from enum import IntEnum
 
 import pytest
 
 import oracles
+import treerow
 from treerow import (
     Poset,
     RootedTree,
@@ -292,3 +294,83 @@ class TestEnumerationHelpers:
                 ext = linear_extension(poset)
                 assert ext == min(oracles.linear_extensions(n, rel)), rel
                 assert linear_extension(poset) is ext
+
+
+class One(IntEnum):
+    ONE = 1
+
+
+CHERRY = parse_tree("(()())")
+PATH3 = chain_product(1, 3)
+
+# Every integer entry point, given the value 1 in the form ``one``; each
+# must refuse a bool, a float and an int subclass alike.
+INT_ENTRY_POINTS = {
+    "Poset n": lambda one: Poset(one, []),
+    "Poset cover end": lambda one: Poset(2, [(0, one)]),
+    "RootedTree parent": lambda one: RootedTree([None, 0, one]),
+    "toggle node": lambda one: treerow.toggle(CHERRY, [], one),
+    "down_set node": lambda one: down_set(CHERRY, [one]),
+    "Orbit member": lambda one: treerow.Orbit([[one]]),
+    "Statistic node": lambda one: treerow.Statistic.chi_x(one),
+    "interval end": lambda one: interval_partition(CHERRY, (one, 2)),
+    "rho_via_toggles extension": lambda one: treerow.rho_via_toggles(
+        PATH3, [], [0, one, 2]
+    ),
+    "pl_rowmotion extension": lambda one: treerow.pl_rowmotion(
+        PATH3, treerow.indicator_point(PATH3, []), [0, one, 2]
+    ),
+    "birational_rowmotion extension": lambda one: treerow.birational_rowmotion(
+        PATH3, treerow.LabeledPoint(PATH3, (1, 1, 1)), [0, one, 2]
+    ),
+    "all_orbits budget": lambda one: treerow.all_orbits(CHERRY, budget=one),
+    "enumerate_antichains budget": lambda one: treerow.enumerate_antichains(
+        CHERRY, budget=one
+    ),
+    "check_homomesy budget": lambda one: treerow.check_homomesy(
+        CHERRY, treerow.Statistic.chi(), budget=one
+    ),
+    "check_homometry budget": lambda one: treerow.check_homometry(
+        CHERRY, treerow.Statistic.chi(), budget=one
+    ),
+    "observed_profile budget": lambda one: treerow.observed_profile(
+        CHERRY, budget=one
+    ),
+    "verify_family budget": lambda one: treerow.verify_family(
+        treerow.Comb(2), budget=one
+    ),
+    "chain length": lambda one: treerow.chain(one),
+    "chain_product side": lambda one: chain_product(one, 2),
+    "graft root branch": lambda one: treerow.graft(CHERRY, CHERRY, one),
+    "family parameter": lambda one: treerow.Comb(one),
+    "combine_profiles root branch": lambda one: treerow.combine_profiles(
+        treerow.predicted_profile(treerow.Comb(1)),
+        treerow.predicted_profile(treerow.Comb(1)),
+        one,
+    ),
+    "extend_root_transfer": lambda one: treerow.extend_root_transfer(
+        treerow.predicted_profile(treerow.Comb(1)), one
+    ),
+    "order_search max_iter": lambda one: treerow.order_search(
+        CHERRY, rng=random.Random(0), max_iter=one
+    ),
+    "order_search max_retries": lambda one: treerow.order_search(
+        CHERRY, rng=random.Random(0), max_retries=one
+    ),
+    "order_search p": lambda one: treerow.order_search(
+        CHERRY, rng=random.Random(0), p=one
+    ),
+    "LabeledPoint modulus": lambda one: treerow.LabeledPoint(
+        CHERRY, (1, 2, 3), "modp", one
+    ),
+    "LabeledPoint mod-p value": lambda one: treerow.LabeledPoint(
+        CHERRY, (one, 2, 3), "modp", 7
+    ),
+}
+
+
+@pytest.mark.parametrize("one", [True, 1.0, One.ONE], ids=["bool", "float", "IntEnum"])
+@pytest.mark.parametrize("entry", INT_ENTRY_POINTS.values(), ids=INT_ENTRY_POINTS)
+def test_every_integer_entry_point_takes_plain_ints_only(entry, one):
+    with pytest.raises(ValueError, match="is not an int"):
+        entry(one)
