@@ -20,14 +20,19 @@ document, one table per line indent (``_ByteTexts``).  A member is then
 at most ceil(n/8) lookups and one join.  The tables live for one
 document only, so a shell run gains what an in-process call gains.
 
-Each call builds its parser afresh, but only the named verb's.  Building
-the full parser, nine subparsers and their options, took about 1.5 ms of
-a small verb's 1.7-2.6 ms, and one verb's parser about 0.15 ms (2-core
-Xeon VM, Python 3.11).  Both are filled from one table (``_VERBS``), so a
-verb's options and help are the same either way.  The full parser is
-built only when the argument list does not start with a verb, holds
-``--``, or leaves arguments the verb does not take: it then prints the
-top-level help or usage error, word for word as before.
+A clean verb call builds no parser: ``_read_args`` reads the argument
+list straight from the verb's row of the option table, exact option
+names with their values, types, choices and defaults, into the
+namespace argparse would give.  Building the full parser, nine
+subparsers and their options, took about 1.5 ms of a small verb's
+1.7-2.6 ms, one verb's parser about 0.15 ms, and the reader takes 2-5
+us (2-core Xeon VM, Python 3.11).  Anything the reader is not sure of
+(an abbreviation, ``--opt=value``, ``--``, ``-h``, a value starting with
+``-``, a stray token, a value its type refuses, a missing required
+option) goes to the full parser, built from the same table, so help,
+usage errors and exit codes are argparse's own, word for word.  Each
+call does the same work and keeps nothing, so a shell run saves as much
+as an in-process call.
 
 ``_VERBS`` is the one verb table: each verb's row names its handler, its
 options and the formats it writes, the default first.  Usage is settled
@@ -94,9 +99,16 @@ def _decimal(text: str, low: int = 0) -> int:
         raise argparse.ArgumentTypeError(
             f"expected ASCII decimal digits, got {text!r}"
         )
-    if int(text) < low:
+    try:
+        value = int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"expected at most {sys.get_int_max_str_digits()} digits,"
+            f" got {len(text)}"
+        ) from None
+    if value < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-    return int(text)
+    return value
 
 
 # The options of each verb, in the order its help lists them.
@@ -132,36 +144,74 @@ _LIFT_VERB = (
 )
 
 
-def _add_options(parser: argparse.ArgumentParser, verb: str) -> None:
-    _, options, _ = _VERBS[verb]
-    for name in options:
-        parser.add_argument(name, **_OPTIONS[name])
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treerow", description="rowmotion orbits, tilings, and statistics"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _VERBS:
-        _add_options(sub.add_parser(verb), verb)
+    for verb, (_, options, _) in _VERBS.items():
+        verb_parser = sub.add_parser(verb)
+        for name in options:
+            verb_parser.add_argument(name, **_OPTIONS[name])
     return parser
 
 
+def _read_args(verb: str, tokens: list[str]) -> Optional[argparse.Namespace]:
+    """``tokens`` read against ``verb``'s options as ``_build_parser()``
+    reads them, or None when that parser must decide.
+
+    Each token is an exact option name of the verb; ``--timing`` takes no
+    value and every other option the next token, which must not start
+    with ``-``.  Values go through the option's ``type`` and ``choices``,
+    and a required option must be given.  Anything else (an abbreviation,
+    ``--opt=value``, ``--``, ``-h``, a value such as ``-1``, a stray token,
+    a value the type refuses, a missing ``--stat``) returns None.
+    """
+    _, names, _ = _VERBS[verb]
+    given = {}
+    tokens = iter(tokens)
+    for name in tokens:
+        if name not in names:
+            return None
+        spec = _OPTIONS[name]
+        if "action" in spec:  # store_true
+            given[name] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except argparse.ArgumentTypeError:
+                return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[name] = value
+    args = argparse.Namespace(verb=verb)
+    for name in names:
+        spec = _OPTIONS[name]
+        if name in given:
+            value = given[name]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False if "action" in spec else None)
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
+
+
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
-    """Parse ``argv`` (``sys.argv[1:]`` if None) as ``_build_parser()`` does,
-    building only the named verb's parser when that parse is clean.  A
-    ``--`` goes to the full parser, since argparse's handling of it has
-    changed between Python versions."""
+    """Parse ``argv`` (``sys.argv[1:]`` if None) as ``_build_parser()``
+    does.  A clean verb call is read straight from the option table; the
+    parser is built only for what ``_read_args`` leaves to it, so help,
+    usage errors and their exit codes are argparse's own."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _VERBS and "--" not in argv:
-        verb = argv[0]
-        parser = argparse.ArgumentParser(prog=f"treerow {verb}")
-        _add_options(parser, verb)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.verb = verb
+    if argv and argv[0] in _VERBS:
+        args = _read_args(argv[0], argv[1:])
+        if args is not None:
             return args
     return _build_parser().parse_args(argv)
 

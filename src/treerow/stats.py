@@ -111,6 +111,7 @@ class Statistic:
         return "antichain"
 
     def __mul__(self, k: int) -> "Statistic":
+        _least_int("coefficient", k)  # a bool or IntEnum k would pass as k * c
         return Statistic(tuple((k * c, a, x) for c, a, x in self.terms))
 
     __rmul__ = __mul__

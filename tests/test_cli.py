@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -293,6 +294,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "expected ASCII decimal digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--tree", "(())", "--budget"],
+            ["pl", "--grid", "2x2", "--seed"],
+            ["pl", "--grid", "2x2", "--max-iter"],
+        ],
+    )
+    def test_integers_past_the_int_string_limit(self, capsys, argv):
+        # int() refuses more than sys.get_int_max_str_digits() digits with a
+        # ValueError, which argparse would report as an invalid _decimal
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "9" * 5000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: expected at most" in err
+        assert "_decimal" not in err
+
 
 def parse_outcome(parse, argv):
     """Exit code, stdout, stderr and namespace of one parse."""
@@ -336,8 +355,52 @@ PARSER_CASES = (
 )
 
 
+# values of each option that a verb may accept, and values that need the
+# full parser's judgement
+GOOD_VALUES = {
+    "--tree": ["(())", "((()))"],
+    "--family": ["star:2,2"],
+    "--grid": ["2x2"],
+    "--format": ["json", "csv", "ascii", "svg", "xml"],
+    "--budget": ["5", "0"],
+    "--stat": ["chi", "hatchi_x:1"],
+    "--seed": ["3"],
+    "--max-iter": ["10"],
+    "--mode": ["rational", "modp:5"],
+}
+ODD_VALUES = ["", "-x", "-1", "\u0663", "1_0", "9" * 5000, "--", "-h"]
+
+
+def random_argv(rng):
+    """A verb and up to four tokens or options: mostly the verb's own
+    options spelled exactly, else abbreviated, ``=``-joined or another
+    verb's, with good or odd values, and now and then a stray token."""
+    verb = rng.choice(list(cli._VERBS))
+    _, own, _ = cli._VERBS[verb]
+    argv = [verb]
+    for _ in range(rng.randrange(5)):
+        if rng.random() < 0.05:
+            argv.append(rng.choice(ODD_VALUES + ["extra", "orbits"]))
+            continue
+        name = rng.choice(own if rng.random() < 0.85 else list(cli._OPTIONS))
+        spelled = name
+        if rng.random() < 0.08:
+            spelled = name[: rng.randrange(3, len(name))]
+        if name == "--timing":
+            argv.append(spelled)
+            continue
+        good = GOOD_VALUES[name]
+        value = rng.choice(good if rng.random() < 0.85 else ODD_VALUES)
+        if rng.random() < 0.05:
+            argv.append(f"{spelled}={value}")
+        else:
+            argv += [spelled, value]
+    return argv
+
+
 class TestParser:
-    """``main`` builds one verb's parser; it must parse as the full one."""
+    """``main`` reads a clean verb call itself and leaves the rest to the
+    full parser; either way it must parse as the full one does."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -363,7 +426,18 @@ class TestParser:
         full = parse_outcome(cli._build_parser().parse_args, None)
         assert parse_outcome(cli._parse_args, None) == full
 
-    def test_verb_call_builds_one_parser(self, monkeypatch):
+    def test_random_argvs_match_full_parser(self):
+        rng = random.Random(28)
+        read = 0
+        for _ in range(400):
+            argv = random_argv(rng)
+            full = parse_outcome(cli._build_parser().parse_args, argv)
+            assert parse_outcome(cli._parse_args, argv) == full, argv
+            read += cli._read_args(argv[0], argv[1:]) is not None
+        # both the reader and the full parser decide a fair share
+        assert 100 < read < 300
+
+    def test_clean_call_builds_no_parser(self, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -374,7 +448,10 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         code, out, _ = run(["orbits", "--tree", "(())"])
         assert code == 0 and json.loads(out)["antichains"] == 3
-        assert built == ["treerow orbits"]
+        assert built == []
+        code, out, _ = run(["orbits", "--tr", "(())"])
+        assert code == 0 and json.loads(out)["antichains"] == 3
+        assert built == ["treerow", *(f"treerow {verb}" for verb in cli._VERBS)]
 
 
 def reference_json(obj):

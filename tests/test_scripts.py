@@ -82,6 +82,17 @@ class TestNongradedOrderSearch:
         err = capsys.readouterr().err
         assert f"argument {option}: expected ASCII decimal digits" in err
 
+    @pytest.mark.parametrize("option", ["--seed", "--prime"])
+    def test_integers_past_the_int_string_limit(self, capsys, option):
+        # read through cli._decimal, whose int() refuses that many digits
+        search = load("nongraded_order_search")
+        with pytest.raises(SystemExit) as exc:
+            search.main(["--trials", "0", option, "9" * 5000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected at most" in err
+        assert "_decimal" not in err
+
     def test_small_prime_and_seed_run(self, capsys):
         search = load("nongraded_order_search")
         argv = ["--tree", "(()(()))", "--trials", "0", "--prime", "13",

@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stdout
+from enum import IntEnum
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -113,6 +114,23 @@ class TestStatisticAlgebra:
         with pytest.raises(ValueError, match="coefficient 0.5 is not an int"):
             0.5 * Statistic.hatchi_x(2)
 
+    @pytest.mark.parametrize(
+        "scale",
+        [lambda s: s * True, lambda s: True * s, lambda s: s * False,
+         lambda s: Small.TWO * s, lambda s: s * Small.TWO],
+        ids=["s*True", "True*s", "s*False", "IntEnum*s", "s*IntEnum"],
+    )
+    def test_scaling_by_a_bool_or_int_enum_refused(self, scale):
+        # k * c is a plain int again by the time a coefficient is checked
+        with pytest.raises(ValueError, match="coefficient .* is not an int"):
+            scale(Statistic.chi())
+
+    def test_scaling_by_ints(self):
+        chi_x = Statistic.chi_x(1)
+        assert (chi_x * 2).terms == ((2, "chi_x", 1),)
+        assert (-1 * chi_x).terms == ((-1, "chi_x", 1),)
+        assert (Statistic.chi() - chi_x).terms == ((1, "chi", None), (-1, "chi_x", 1))
+
     @pytest.mark.parametrize("node", [True, False, 1.0, 0.5])
     def test_node_ids_are_ints(self, node):
         # True would otherwise stand for node 1
@@ -121,6 +139,10 @@ class TestStatisticAlgebra:
                 make(node)
         with pytest.raises(ValueError, match="node id .* is not an int"):
             Statistic(((1, "chi", None), (2, "chi_x", node)))
+
+
+class Small(IntEnum):
+    TWO = 2
 
 
 class TestEval:
