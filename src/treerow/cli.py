@@ -37,10 +37,11 @@ as an in-process call.
 ``_VERBS`` is the one verb table: each verb's row names its handler, its
 options and the formats it writes, the default first.  Usage is settled
 before any enumeration: ``main`` sets or refuses ``--format`` from the
-row before the handler runs, integer options take ASCII decimal digits
-only (argparse refuses the rest), and a statistic's node ids and the
-budget are checked before the first antichain is counted.  So a usage
-error exits 2 even on a tree far too large to enumerate.
+row before the handler runs, ``poset._decimal`` reads every integer
+(argparse refuses a bad option value), ``--stat`` and ``--mode`` are
+read before the tree is built, and a statistic's node ids and the budget
+are checked before the first antichain is counted.  So a usage error
+exits 2 even on a tree far too large to enumerate.
 
 A shell run is mostly start-up: loading the package took longer than
 any small verb.  This module imports ``errors``, ``poset`` and
@@ -80,7 +81,8 @@ from .errors import (
     SpecParseError,
     ZeroInFieldError,
 )
-from .poset import Poset, _bits, _is_decimal, chain_product, parse_tree
+from . import poset
+from .poset import Poset, _bits, chain_product, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, Orbit, all_orbits
 
 if TYPE_CHECKING:
@@ -94,21 +96,11 @@ INTERNAL_ERROR = 4
 
 
 def _decimal(text: str, low: int = 0) -> int:
-    """An integer option, at least ``low``, in ASCII decimal digits like specs."""
-    if not _is_decimal(text):
-        raise argparse.ArgumentTypeError(
-            f"expected ASCII decimal digits, got {text!r}"
-        )
+    """An integer option: `poset._decimal`, its refusal an argparse one."""
     try:
-        value = int(text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise argparse.ArgumentTypeError(
-            f"expected at most {sys.get_int_max_str_digits()} digits,"
-            f" got {len(text)}"
-        ) from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-    return value
+        return poset._decimal(text, low)
+    except SpecParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # The options of each verb, in the order its help lists them.
@@ -233,9 +225,10 @@ def _input_poset(args) -> tuple[Poset, str]:
         desc = parse_family(args.family)
         return make_family(desc), descriptor_string(desc)
     p, sep, q = args.grid.partition("x")
-    if not sep or not _is_decimal(p) or not _is_decimal(q):
+    if not sep:
         raise SpecParseError(f"grid wants PxQ, got {args.grid!r}")
-    return chain_product(int(p), int(q)), f"grid:{int(p)}x{int(q)}"
+    p, q = poset._decimal(p), poset._decimal(q)
+    return chain_product(p, q), f"grid:{p}x{q}"
 
 
 def _orbit_record(orbit: Orbit, oid: int) -> dict:
@@ -420,8 +413,8 @@ def _average(total: int, size: int) -> str:
 def _run_stats(args) -> tuple[str, int]:
     from .stats import _orbit_sums, parse_statistic
 
-    tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
+    tree, name = _input_poset(args)
     orbits, sums = _orbit_sums(tree, stat, args.budget)
     rows = [
         (i, o.size, o.delta, total, _average(total, o.size))
@@ -443,8 +436,8 @@ def _run_stats(args) -> tuple[str, int]:
 def _run_homomesy(args) -> tuple[str, int]:
     from .stats import check_homomesy, orbit_sum, parse_statistic
 
-    tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
+    tree, name = _input_poset(args)
     verdict = check_homomesy(tree, stat, budget=args.budget)
     doc = {"tree": name, "stat": stat.spec(), "homomesic": verdict.is_homomesic}
     if verdict.is_homomesic:
@@ -461,8 +454,8 @@ def _run_homomesy(args) -> tuple[str, int]:
 def _run_homometry(args) -> tuple[str, int]:
     from .stats import check_homometry, orbit_sum, parse_statistic
 
-    tree, name = _input_poset(args)
     stat = parse_statistic(args.stat)
+    tree, name = _input_poset(args)
     verdict = check_homometry(tree, stat, budget=args.budget)
     doc = {"tree": name, "stat": stat.spec(), "homometric": verdict.is_homometric}
     if verdict.is_homometric:
@@ -514,18 +507,18 @@ def _run_continuous(args) -> tuple[str, int]:
     from .continuous import DEFAULT_MAX_ITER, order_search
 
     kind = args.verb
-    poset, name = _input_poset(args)
     if args.mode == "rational":
         p = None
-    elif args.mode.startswith("modp:") and _is_decimal(args.mode[5:]):
-        p = int(args.mode[5:])
+    elif args.mode.startswith("modp:"):
+        p = poset._decimal(args.mode[5:])
     else:
         raise SpecParseError(f"mode wants rational or modp:P, got {args.mode!r}")
+    lifted, name = _input_poset(args)
     if args.max_iter is None:
         args.max_iter = DEFAULT_MAX_ITER
     t0 = time.perf_counter()
     result = order_search(
-        poset, max_iter=args.max_iter, kind=kind, p=p, rng=random.Random(args.seed)
+        lifted, max_iter=args.max_iter, kind=kind, p=p, rng=random.Random(args.seed)
     )
     elapsed = time.perf_counter() - t0
     doc = {

@@ -229,6 +229,8 @@ def indicator_point(poset: Poset, ideal) -> LabeledPoint:
 
 
 def ideal_of_indicator(f: LabeledPoint) -> frozenset[int]:
+    if f.mode != "rational":  # residues are ints, which read as PL values
+        raise ValueError("not an indicator point: indicator points are rational")
     members = []
     for x, v in enumerate(f.values):
         n = v.numerator

@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 from . import _EXPORTS
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, _fold, _is_decimal, _least_int, parse_tree
+from .poset import RootedTree, _decimal, _fold, _least_int, parse_tree
 from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, _built_orbits, _hatchi_weight
 
 __all__ = list(_EXPORTS["families"])
@@ -132,17 +132,7 @@ _ONE_INT = {"tk": Tk, "comb": Comb, "zipper": Zipper, "cbt": CompleteBinary}
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if not all(map(_is_decimal, parts)):
-        raise SpecParseError(f"expected comma-separated integers, got {text!r}")
-    return tuple(map(int, parts))
-
-
-def _int(text: str) -> int:
-    vals = _ints(text)
-    if len(vals) != 1:
-        raise SpecParseError(f"expected one integer, got {text!r}")
-    return vals[0]
+    return tuple(map(_decimal, text.split(",")))
 
 
 def parse_family(text: str) -> FamilyDescriptor:
@@ -157,20 +147,20 @@ def parse_family(text: str) -> FamilyDescriptor:
         m_b, sep2, m_alphas = rest.partition(";")
         if not sep2 or not m_b.startswith("b="):
             raise SpecParseError(f"extended star wants b=B;alphas, got {rest!r}")
-        return ExtendedStar(_int(m_b[2:]), _ints(m_alphas))
+        return ExtendedStar(_decimal(m_b[2:]), _ints(m_alphas))
     if name == "threeleaf":
         params = _ints(rest)
         if len(params) != 5:
             raise SpecParseError("threeleaf takes exactly five branch sizes")
         return ThreeLeaf(*params)
     if name in _ONE_INT:
-        return _ONE_INT[name](_int(rest))
+        return _ONE_INT[name](_decimal(rest))
     if name == "ecomb":
         parts = rest.split(",")
         pairs = dict(p.split("=", 1) for p in parts if "=" in p)
         if len(parts) != 2 or set(pairs) != {"n", "k"}:
             raise SpecParseError(f"ecomb wants n=N,k=K, got {rest!r}")
-        return ExtendedComb(_int(pairs["n"]), _int(pairs["k"]))
+        return ExtendedComb(_decimal(pairs["n"]), _decimal(pairs["k"]))
     raise SpecParseError(f"unknown family {name!r}")
 
 

@@ -15,11 +15,15 @@ Every integer argument (sizes, ids, ends, budgets, parameters, moduli,
 mod-p values) is a plain int, ``type(x) is int``: a bool, float or int
 subclass is refused with ``ValueError``.  `_least_int` states the rule once,
 each entry point checks it, and nothing behind one checks or converts again.
+An integer written as text (descriptors, statistics, grids, moduli, CLI
+options) is ASCII decimal digits, at most ``sys.get_int_max_str_digits()``
+of them, else ``SpecParseError``; `_decimal` is the one reader of such text.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
@@ -315,11 +319,21 @@ def _fold(tree: RootedTree, empty, union, root):
     return values[0]
 
 
-def _is_decimal(text: str) -> bool:
-    """Whether ``text`` is ASCII digits only: ``int`` also reads ``٣``,
-    ``3_0``, ``+3`` and padding spaces, and ``str.isdigit`` passes ``٣``
-    and ``²``."""
-    return text.isascii() and text.isdigit()
+def _decimal(text: str, low: int = 0) -> int:
+    """``text`` as an int of at least ``low`` (the module docstring's text
+    rule), else ``SpecParseError``.  ``int`` also reads ``٣``, ``3_0``,
+    ``+3`` and padding spaces, and ``str.isdigit`` passes ``٣`` and ``²``."""
+    if not (text.isascii() and text.isdigit()):
+        raise SpecParseError(f"expected ASCII decimal digits, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise SpecParseError(
+            f"expected at most {sys.get_int_max_str_digits()} digits, got {len(text)}"
+        ) from None
+    if value < low:
+        raise SpecParseError(f"expected an integer >= {low}, got {text!r}")
+    return value
 
 
 def parse_tree(spec: str) -> RootedTree:

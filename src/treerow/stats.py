@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import _EXPORTS
 from .errors import SpecParseError
-from .poset import RootedTree, _bits, _down_mask, _least_int, _node_mask
+from .poset import RootedTree, _bits, _decimal, _down_mask, _least_int, _node_mask
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
@@ -82,7 +82,9 @@ class Statistic:
             if atom not in _ATOMS:
                 raise ValueError(f"unknown statistic atom {atom!r}")
             if (node is None) == atom.endswith("_x"):
-                raise ValueError(f"atom {atom} and node {node} do not go together")
+                raise ValueError(
+                    f"{atom} {'needs' if node is None else 'does not take'} a node id"
+                )
             _least_int("coefficient", coeff)
             if node is not None:
                 _least_int("node id", node)
@@ -148,19 +150,16 @@ def parse_statistic(text: str) -> Statistic:
         m = _TERM_RE.match(s, pos)
         if m is None or (pos > 0 and m.group("sign") is None):
             raise SpecParseError(f"cannot parse statistic {text!r} at position {pos}")
-        coeff = int(m.group("coeff") or 1)
+        coeff, atom, node = m.group("coeff", "atom", "node")
+        coeff = _decimal(coeff) if coeff else 1
         if m.group("sign") == "-":
             coeff = -coeff
-        atom = m.group("atom")
-        node = m.group("node")
-        if (node is None) == atom.endswith("_x"):
-            raise SpecParseError(
-                f"{atom} {'needs' if atom.endswith('_x') else 'does not take'} a node id"
-                f" in {text!r}"
-            )
-        terms.append((coeff, atom, int(node) if node is not None else None))
+        terms.append((coeff, atom, _decimal(node) if node else None))
         pos = m.end()
-    return Statistic(tuple(terms))
+    try:
+        return Statistic(tuple(terms))
+    except ValueError as exc:  # an atom without its node id, or the reverse
+        raise SpecParseError(f"{exc} in {text!r}") from None
 
 
 def _check_nodes(tree: RootedTree, stat: Statistic) -> None:

@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_cases import CASES
-from treerow import Orbit, RootedTree, cli, continuous, families, stats
+from treerow import Orbit, RootedTree, cli, continuous, families, poset, stats
 from treerow.cli import main
+from treerow.errors import SpecParseError
+from treerow.families import parse_family
+from treerow.stats import parse_statistic
 from treerow.families import FamilyReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -297,20 +300,137 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["orbits", "--tree", "(())", "--budget"],
-            ["pl", "--grid", "2x2", "--seed"],
-            ["pl", "--grid", "2x2", "--max-iter"],
+            ["orbits", "--tree", "(())", "--budget", "{}"],
+            ["pl", "--grid", "2x2", "--seed", "{}"],
+            ["pl", "--grid", "2x2", "--max-iter", "{}"],
+            # read by the verb's handler, not by argparse
+            ["verify", "--family", "star:{}"],
+            ["pl", "--grid", "{}x2"],
+            ["birational", "--tree", "(())", "--mode", "modp:{}"],
+            ["stats", "--tree", "(())", "--stat", "{}*chi"],
         ],
     )
-    def test_integers_past_the_int_string_limit(self, capsys, argv):
+    def test_integers_past_the_int_string_limit(self, argv):
         # int() refuses more than sys.get_int_max_str_digits() digits with a
         # ValueError, which argparse would report as an invalid _decimal
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "9" * 5000])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {argv[-1]}: expected at most" in err
+        code, out, err = exit_code([a.replace("{}", "9" * 5000) for a in argv])
+        assert code == 2 and out == ""
+        option = argv[-2]  # argparse reads the typed options, a handler the rest
+        where = f"argument {option}: " if "type" in cli._OPTIONS[option] else "error: "
+        limit = sys.get_int_max_str_digits()
+        assert f"{where}expected at most {limit} digits, got 5000" in err
         assert "_decimal" not in err
+
+    def test_stat_and_mode_read_before_the_tree_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("tree built before --stat or --mode was read")
+
+        monkeypatch.setattr(cli, "parse_tree", refuse)
+        monkeypatch.setattr(families, "make_family", refuse)
+        for source in (["--tree", "(())"], ["--family", "cbt:14"]):
+            for verb in ("stats", "homomesy", "homometry"):
+                for stat, message in (
+                    ("bogus", "cannot parse statistic 'bogus' at position 0"),
+                    ("chi_x", "chi_x needs a node id in 'chi_x'"),
+                ):
+                    code, out, err = run([verb, *source, "--stat", stat])
+                    assert (code, out, err) == (2, "", f"error: {message}\n")
+            for verb in ("birational", "pl"):
+                for mode, message in (
+                    ("bogus", "mode wants rational or modp:P, got 'bogus'"),
+                    ("modp:x", "expected ASCII decimal digits, got 'x'"),
+                ):
+                    code, out, err = run([verb, *source, "--mode", mode])
+                    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def exit_code(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# texts that are not ASCII decimal digits, or too many of them for int()
+BAD_INTEGERS = ["\u0663", "\u00b2", "+3", "3_0", " 3", "-3", "", "9" * 5000]
+BAD_IDS = ["arabic-3", "superscript-2", "plus", "underscore", "space", "minus",
+           "empty", "5000-nines"]
+
+
+class TestTextIntegers:
+    """Every reader of integers written as text refuses the same texts."""
+
+    # {} marks the integer
+    FAMILY_FIELDS = [
+        "star:{}",
+        "star:3,{}",
+        "estar:b={};3,3",
+        "estar:b=2;{},3",
+        "threeleaf:{},1,1,1,1",
+        "threeleaf:1,1,1,1,{}",
+        "tk:{}",
+        "comb:{}",
+        "zipper:{}",
+        "cbt:{}",
+        "ecomb:n={},k=2",
+        "ecomb:n=3,k={}",
+    ]
+    # a coefficient after the first term, whose sign is its own; the
+    # statistic grammar drops spaces, so " 3" reads as 3 there
+    STAT_FIELDS = ["chi+{}*hatchi", "2*chi-{}*chi_x:1", "chi_x:{}", "hatchi_x:{}"]
+    # (argv, the option whose text holds the integer)
+    CLI_FIELDS = [
+        (["orbits", "--tree", "(())", "--budget", "{}"], "--budget"),
+        (["pl", "--grid", "2x2", "--seed", "{}"], "--seed"),
+        (["birational", "--grid", "2x2", "--max-iter", "{}"], "--max-iter"),
+        (["pl", "--grid", "{}x2"], "--grid"),
+        (["birational", "--grid", "2x{}"], "--grid"),
+        (["birational", "--tree", "(())", "--mode", "modp:{}"], "--mode"),
+        (["orbits", "--family", "star:3,{}"], "--family"),
+        (["verify", "--family", "ecomb:n=3,k={}"], "--family"),
+        (["stats", "--tree", "(()())", "--stat", "chi-{}*hatchi"], "--stat"),
+        (["homomesy", "--tree", "(()())", "--stat", "chi_x:{}"], "--stat"),
+    ]
+
+    @staticmethod
+    def refusal(bad):
+        """What the refusal of ``bad`` must say, if anything in particular."""
+        if len(bad) == 5000:
+            return f"expected at most {sys.get_int_max_str_digits()} digits, got 5000"
+        return None
+
+    @pytest.mark.parametrize("bad", BAD_INTEGERS, ids=BAD_IDS)
+    def test_library_refuses(self, bad):
+        readers = [(poset._decimal, "{}")]
+        readers += [(parse_family, field) for field in self.FAMILY_FIELDS]
+        if bad != " 3":
+            readers += [(parse_statistic, field) for field in self.STAT_FIELDS]
+        for read, field in readers:
+            with pytest.raises(SpecParseError, match=self.refusal(bad)):
+                read(field.replace("{}", bad))
+
+    @pytest.mark.parametrize("bad", BAD_INTEGERS, ids=BAD_IDS)
+    def test_cli_refuses(self, bad):
+        for argv, option in self.CLI_FIELDS:
+            if option == "--stat" and bad == " 3":
+                continue
+            code, out, err = exit_code([a.replace("{}", bad) for a in argv])
+            assert code == 2 and out == "", argv
+            # the handler's refusal, or argparse's for an option value
+            assert err.startswith("error: ") or f"argument {option}: expected" in err
+            refusal = self.refusal(bad)
+            assert refusal is None or refusal in err, argv
+            assert "_decimal" not in err, argv
+
+    def test_decimal_lower_bound(self):
+        assert poset._decimal("0042", 42) == 42
+        with pytest.raises(SpecParseError, match="expected an integer >= 2, got '1'"):
+            poset._decimal("1", 2)
 
 
 def parse_outcome(parse, argv):

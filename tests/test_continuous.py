@@ -174,6 +174,12 @@ class TestIndicatorPoints:
         with pytest.raises(ValueError):
             indicator_point(CHERRY, {1})  # not downward closed
 
+    def test_rejects_mod_p_point(self):
+        # residues are ints, whose numerator and denominator read as PL values
+        point = LabeledPoint(chain_product(2, 2), (0, 1, 1, 1), "modp", 5)
+        with pytest.raises(ValueError, match="not an indicator point"):
+            ideal_of_indicator(point)
+
     def test_pl_rowmotion_restricts_to_ideal_rowmotion(self):
         """On indicator vertices the PL map is combinatorial rowmotion —
         checked on every ideal of every poset with up to 5 elements."""

@@ -82,7 +82,10 @@ class TestNongradedOrderSearch:
         err = capsys.readouterr().err
         assert f"argument {option}: expected ASCII decimal digits" in err
 
-    @pytest.mark.parametrize("option", ["--seed", "--prime"])
+    @pytest.mark.parametrize(
+        "option", ["--trials", "--nodes", "--seed", "--max-iter", "--prime",
+                   "--exact-steps"],
+    )
     def test_integers_past_the_int_string_limit(self, capsys, option):
         # read through cli._decimal, whose int() refuses that many digits
         search = load("nongraded_order_search")
@@ -128,7 +131,7 @@ class TestSurveyFamilies:
 
     def test_budget_must_be_positive(self, capsys):
         survey = load("survey_families")
-        for bad in ("0", "-1", "1e3", "٣"):
+        for bad in ("0", "-1", "1e3", "٣", "9" * 5000):
             with pytest.raises(SystemExit) as exc:
                 survey.main(["--only", "tk", "--budget", bad])
             assert exc.value.code == 2

@@ -99,10 +99,21 @@ class TestStatisticAlgebra:
     def test_bad_terms_rejected(self):
         with pytest.raises(ValueError):
             Statistic(((1, "size", None),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^chi does not take a node id$"):
             Statistic(((1, "chi", 3),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^chi_x needs a node id$"):
             Statistic(((1, "chi_x", None),))
+
+    def test_parser_states_the_constructors_atom_node_rule(self):
+        # one rule, the constructor's, reported as a parse error of the text
+        for text, message in (
+            ("chi_x", "chi_x needs a node id in 'chi_x'"),
+            ("hatchi:3", "hatchi does not take a node id in 'hatchi:3'"),
+            ("chi+2*hatchi_x", "hatchi_x needs a node id in 'chi+2*hatchi_x'"),
+        ):
+            with pytest.raises(SpecParseError) as exc:
+                parse_statistic(text)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("coeff", [0.5, 1.0, True, False, Fraction(1), "1"])
     def test_coefficients_are_ints(self, coeff):
