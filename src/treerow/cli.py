@@ -504,13 +504,17 @@ def _run_verify(args) -> tuple[str, int]:
 def _run_continuous(args) -> tuple[str, int]:
     import random
 
-    from .continuous import DEFAULT_MAX_ITER, order_search
+    from .continuous import DEFAULT_MAX_ITER, _require_prime, order_search
 
     kind = args.verb
     if args.mode == "rational":
         p = None
     elif args.mode.startswith("modp:"):
         p = poset._decimal(args.mode[5:])
+        # refused as order_search refuses it, but before the poset is built
+        if kind == "pl":
+            raise ValueError("piecewise-linear search runs over the rationals")
+        _require_prime(p)
     else:
         raise SpecParseError(f"mode wants rational or modp:P, got {args.mode!r}")
     lifted, name = _input_poset(args)

@@ -4,18 +4,20 @@ Each family constructor produces a rooted tree; for most of them the
 whole orbit table (sizes, multiplicities, chi and hatchi sums per class)
 is known in closed form and `predicted_profile` returns it without any
 enumeration.  `verify_family` then diffs the prediction against brute
-force.  `combine_profiles` and `extend_root_transfer` are the two steps of
-one profile engine: the disjoint union of two trees (orbit sizes pair by
-gcd and lcm) and a chain put below a forest (only the orbit through the
-empty antichain grows).  The steps work on one table, (size, delta, chi,
-hatchi) -> count, and a chain's table is the root step applied to the
-empty forest's.  The three-leaf table is the two steps folded over its
-tree (`poset._fold`).  Classes are labelled O1, O2, ... once, when a step
-or `observed_profile` returns them.  `observed_profile` enumerates: it
-builds the orbits once, carrying each orbit's hatchi sum through the
-build (`rowmotion._hatchi_weight`), and counts the members' chi from
-their masks.  It is the table that the closed forms and both steps are
-checked against; the tests hold it to a member-by-member sum.
+force.  Every table here is (size, delta, chi, hatchi) -> count.
+`combine_profiles` and `extend_root_transfer` take tables with no tree:
+the disjoint union of two trees (`rowmotion._join_classes`, orbit sizes
+pairing by gcd and lcm) and a chain put below a forest (`_add_root`: only
+the orbit through the empty antichain grows, and every nonempty ideal
+gains the chain).  The three-leaf table is the class fold over its tree
+(`rowmotion._class_table`, the fold of `stats`' homomesy and homometry
+verdicts), which joins by the same step and reads its root steps off
+chi's and hatchi's node weights.  Classes are labelled O1, O2, ... once,
+when a step or `observed_profile` returns them.  `observed_profile`
+enumerates: it builds the orbits once, carrying each orbit's hatchi sum
+through the build (`rowmotion._hatchi_weight`), and counts the members'
+chi from their masks.  It is the table that the closed forms and both
+steps are checked against; the tests hold it to a member-by-member sum.
 
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
@@ -29,13 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Optional, Union
 
 from . import _EXPORTS
 from .errors import SpecParseError, UnsupportedFamilyError
-from .poset import RootedTree, _decimal, _fold, _least_int, parse_tree
-from .rowmotion import DEFAULT_ANTICHAIN_BUDGET, _built_orbits, _hatchi_weight
+from .poset import RootedTree, _decimal, _least_int, parse_tree
+from .rowmotion import (
+    DEFAULT_ANTICHAIN_BUDGET,
+    _built_orbits,
+    _class_table,
+    _hatchi_weight,
+    _join_classes,
+)
 
 __all__ = list(_EXPORTS["families"])
 
@@ -389,9 +397,6 @@ def _zipper_classes(n: int) -> list[OrbitClass]:
 
 _Table = dict[tuple[int, int, int, int], int]
 
-# the empty forest: one orbit, the empty antichain alone
-_EMPTY_FOREST: _Table = {(1, 1, 0, 0): 1}
-
 
 def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
     """Closed-form orbit table; refuses the complete binary tree."""
@@ -399,9 +404,7 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
         b = desc.b if isinstance(desc, ExtendedStar) else 1
         return OrbitProfile(tuple(_star_classes(b, desc.alphas)))
     if isinstance(desc, ThreeLeaf):
-        root = lambda table, spec: _add_root(table, spec.beta)
-        table = _fold(make_family(desc), _EMPTY_FOREST, _union, root)
-        return OrbitProfile(_labeled(table))
+        return OrbitProfile(_labeled(_folded_table(make_family(desc))))
     if isinstance(desc, Tk):
         k = desc.k
         classes = (
@@ -441,32 +444,20 @@ def _labeled(table: _Table) -> tuple[OrbitClass, ...]:
     )
 
 
-def _union(left: _Table, right: _Table) -> _Table:
-    """Table of the disjoint union of two trees.  Rowmotion acts
-    componentwise: orbits of sizes c' and c'' pair into gcd(c', c'') orbits
-    of size lcm(c', c''), each side's sums repeated lcm/c times, and one
-    of those from the two delta classes holds the empty antichain."""
-    table: _Table = {}
-    for (sl, dl, chil, hatl), nl in left.items():
-        for (sr, dr, chir, hatr), nr in right.items():
-            l = lcm(sl, sr)
-            g = gcd(sl, sr)
-            ql, qr = l // sl, l // sr
-            chi = ql * chil + qr * chir
-            hatchi = ql * hatl + qr * hatr
-            if dl and dr:
-                table[(l, 1, chi, hatchi)] = 1
-                plain = g - 1
-            else:
-                plain = nl * nr * g
-            if plain:
-                key = (l, 0, chi, hatchi)
-                table[key] = table.get(key, 0) + plain
-    return table
+def _folded_table(tree: RootedTree) -> _Table:
+    """The table of ``tree`` by `rowmotion._class_table`, with no antichain
+    built: chi's weight is 1 on every node, hatchi's `_hatchi_weight`."""
+    c0, w_hat = _hatchi_weight(tree)
+    folded = _class_table(tree, ([1] * tree.n, w_hat))
+    return {
+        (size, delta, chi, c0 * size + hatchi): count
+        for (size, delta, chi, hatchi), count in folded.items()
+    }
 
 
 def _add_root(table: _Table, k: int) -> _Table:
-    """Table after putting a k-node chain below the forest.
+    """Table after putting a k-node chain below the forest, for a table
+    given with no tree (`combine_profiles`, `extend_root_transfer`).
 
     Only the orbit through the empty antichain changes size: it gains the
     k chain singletons, with ideals of 1..k nodes.  Every nonempty ideal
@@ -486,7 +477,7 @@ def combine_profiles(left: OrbitProfile, right: OrbitProfile, b: int) -> OrbitPr
         raise ValueError("root branch size must be >= 1")
     left.delta_class()
     right.delta_class()
-    union = _union(_normalize(left.classes), _normalize(right.classes))
+    union = _join_classes(_normalize(left.classes), _normalize(right.classes))
     return OrbitProfile(_labeled(_add_root(union, b)))
 
 

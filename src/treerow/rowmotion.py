@@ -24,7 +24,11 @@ only new members.  Rowmotion permutes each orbit, and the complement of
 ``rho(A)``, so every statistic's orbit sum is ``c0 * |O|`` plus such a
 weight sum (`stats._orbit_sums`; hatchi's weight is `_hatchi_weight`,
 which `families.observed_profile` reads too).  `all_orbits` is the same
-build with no weights.
+build with no weights.  `_class_table` runs the fold on class tables
+``(size, delta, *sums) -> count`` instead, with no antichain built:
+`_join_classes` pairs classes as `_join` pairs cycles.  `stats` takes its
+homomesy and homometry verdicts from it, and `families` its three-leaf
+table and the union of `combine_profiles`.
 
 Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
 of the ideal's indicator point, 0 on the ideal and 1 off it; `rho_ideal`
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, inf
-from operator import or_
+from operator import add, or_
 from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
@@ -340,6 +344,48 @@ def _join(left_built: tuple, right_built: tuple) -> tuple[list, Optional[list]]:
             g = gcd(len(a), len(b))
             sums += [len(b) // g * sum_a + len(a) // g * sum_b] * g
     return out, sums
+
+
+def _join_classes(left: dict, right: dict) -> dict:
+    """`_join` on class tables ``(size, delta, *sums) -> count``: each pair
+    of classes of sizes a and b gives gcd(a, b) classes of size lcm(a, b),
+    each side's sums scaled by lcm over its size.  Of those from the two
+    delta classes, one is the delta class (`_join`'s s = 0)."""
+    table = {}
+    for (size_a, delta_a, *sums_a), count_a in left.items():
+        for (size_b, delta_b, *sums_b), count_b in right.items():
+            g = gcd(size_a, size_b)
+            reps_a, reps_b = size_b // g, size_a // g  # lcm / size_a, lcm / size_b
+            size = size_a * reps_a
+            sums = [reps_a * s + reps_b * t for s, t in zip(sums_a, sums_b)]
+            if delta_a and delta_b:
+                table[(size, 1, *sums)] = 1
+                plain = g - 1
+            else:
+                plain = count_a * count_b * g
+            if plain:
+                key = (size, 0, *sums)
+                table[key] = table.get(key, 0) + plain
+    return table
+
+
+def _class_table(tree: RootedTree, weights: Sequence[Sequence[int]]) -> dict:
+    """The orbits of ``tree`` as a class table ``(size, delta, *S) -> count``,
+    ``S`` holding each weight's sum over the elements of an orbit's members,
+    with no antichain built: `_built_orbits`' fold, run on the classes.  A
+    root step adds a branch's nodes to the delta class's size and their
+    weights to its sums, and leaves every other class as it is."""
+
+    def root(table, spec):
+        adds = [sum([w[x] for x in spec.nodes]) for w in weights]
+        out = {}
+        for key, count in table.items():
+            if key[1]:
+                key = (key[0] + spec.beta, 1, *map(add, key[2:], adds))
+            out[key] = count
+        return out
+
+    return _fold(tree, {(1, 1, *[0] * len(weights)): 1}, _join_classes, root)
 
 
 def all_orbits(

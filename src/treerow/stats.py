@@ -19,21 +19,31 @@ nested tiles,
 direct summation on every orbit of every small tree.
 
 `check_homomesy`, `check_homometry` and the CLI's ``stats`` take no
-per-member pass: their orbit sums are carried through the orbit build.
-The complement of the ideal ``down(A)`` is the filter generated by
-``rho(A)``, and in a rooted tree the up-sets of an antichain's members
-are disjoint subtrees, so
+per-member pass.  The complement of the ideal ``down(A)`` is the filter
+generated by ``rho(A)``, and in a rooted tree the up-sets of an
+antichain's members are disjoint subtrees, so
 
     hatchi(A)   = n - sum_{y in rho(A)} |up[y]|
     hatchi_x(A) = 1 - #{y in rho(A) : y <= x}
 
 Rowmotion permutes each orbit, so over an orbit ``O`` every statistic
 sums to ``c0 * |O| + sum_{B in O} sum_{y in B} w[y]``, with a weight
-``w[y]`` per node and a constant ``c0`` read off its terms
-(`_orbit_sums`).  `rowmotion._built_orbits` carries the weight sums
-through the build, and `rowmotion._hatchi_weight` states hatchi's weight
-once, for this module and for `families.observed_profile`, the observed
-table of ``verify``, which reads it without importing this module.
+``w[y]`` per node and a constant ``c0`` read off its terms (`_weight`).
+`rowmotion._hatchi_weight` states hatchi's weight once, for this module
+and for `families`, which reads it without importing this module.
+
+A verdict needs only how many orbits of each size carry each sum, and
+`_folded_sums` counts them with no antichain built:
+`rowmotion._class_table` folds a table ``(size, delta, S) -> count``
+over the branches, pairing the classes of sibling subtrees as the orbit
+build pairs cycles and adding a branch's nodes and weights to the delta
+class.  `check_homomesy` and `check_homometry` take their verdict, the
+constant and the class table from it; only a negative verdict builds
+the orbits (`_orbit_sums`, whose `rowmotion._built_orbits` carries each
+orbit's weight sum), to name its witness in enumeration order.  Both
+check the node ids first and then the budget, as the enumeration would,
+though the fold has no more classes than the tree has antichains.  The
+CLI's ``stats`` lists every orbit, so it takes `_orbit_sums` too.
 `eval_statistic` and `orbit_sum` (on an orbit it is given) still sum
 member by member through `_term_sums`.
 """
@@ -54,7 +64,9 @@ from .rowmotion import (
     Orbit,
     _antichain_mask,
     _built_orbits,
+    _check_budget,
     _checked_antichain,
+    _class_table,
     _hatchi_weight,
     _ideal_mask,
 )
@@ -133,21 +145,23 @@ class Statistic:
         return "".join(parts)
 
 
+# spaces may stand between the tokens of a term (sign, coefficient, "*",
+# atom, ":", node id) and around it, never inside a token
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-])?((?P<coeff>[0-9]+)\*)?(?P<atom>hatchi_x|chi_x|hatchi|chi)"
-    r"(:(?P<node>[0-9]+))?"
+    r" *(?P<sign>[+-])? *((?P<coeff>[0-9]+) *\* *)?(?P<atom>hatchi_x|chi_x|hatchi|chi)"
+    r"( *: *(?P<node>[0-9]+))? *"
 )
 
 
 def parse_statistic(text: str) -> Statistic:
-    """`chi`, `hatchi_x:3`, combos like `3*chi_x:4+1*chi_x:0-2*chi`."""
-    s = text.replace(" ", "")
-    if not s:
+    """`chi`, `hatchi_x:3`, combos like `3*chi_x:4+1*chi_x:0-2*chi`;
+    spaces between tokens, as in ``2 * chi + hatchi_x : 3``."""
+    if not text.strip(" "):
         raise SpecParseError("empty statistic")
     terms = []
     pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
         if m is None or (pos > 0 and m.group("sign") is None):
             raise SpecParseError(f"cannot parse statistic {text!r} at position {pos}")
         coeff, atom, node = m.group("coeff", "atom", "node")
@@ -198,14 +212,11 @@ def orbit_sum(tree: RootedTree, stat: Statistic, orbit: Orbit) -> int:
     return sum(_term_sums(tree, stat, orbit.masks))
 
 
-def _orbit_sums(
-    tree: RootedTree, stat: Statistic, budget: int
-) -> tuple[tuple[Orbit, ...], list[int]]:
-    """All orbits of ``tree``, as `all_orbits` orders them, and the sum of
-    ``stat`` over each: ``c0 * |O|`` plus the sum of a node weight ``w[y]``
-    over the elements of the members, carried through the build (see the
-    module docstring), the node ids checked before any enumeration."""
-    _check_nodes(tree, stat)
+def _weight(tree: RootedTree, stat: Statistic) -> tuple[int, list[int]]:
+    """``stat`` as a constant ``c0`` and a node weight ``w``: over an orbit
+    ``O`` it sums to ``c0 * |O|`` plus the sum of ``w[y]`` over the elements
+    of the members (the module docstring).  The node ids must have passed
+    ``_check_nodes``."""
     c0 = 0
     weight = [0] * tree.n
     for coeff, atom, node in stat.terms:
@@ -221,8 +232,37 @@ def _orbit_sums(
             c0 += coeff
             for y in _bits(tree.down[node]):
                 weight[y] -= coeff
+    return c0, weight
+
+
+def _orbit_sums(
+    tree: RootedTree, stat: Statistic, budget: int
+) -> tuple[tuple[Orbit, ...], list[int]]:
+    """All orbits of ``tree``, as `all_orbits` orders them, and the sum of
+    ``stat`` over each, its weight sums carried through the build, the node
+    ids checked before any enumeration."""
+    _check_nodes(tree, stat)
+    c0, weight = _weight(tree, stat)
     orbits, sums = _built_orbits(tree, budget, weight)
     return orbits, [c0 * o.size + s for o, s in zip(orbits, sums)]
+
+
+def _folded_sums(
+    tree: RootedTree, stat: Statistic, budget: int
+) -> dict[tuple[int, int], int]:
+    """How many orbits of each size carry each sum of ``stat``, as
+    ``(size, sum) -> count``, from `rowmotion._class_table` with no
+    antichain built.  The node ids are checked first, then the budget, as
+    for the enumerated sums, though the fold has no more classes than the
+    tree has antichains."""
+    _check_nodes(tree, stat)
+    _check_budget(tree, budget)
+    c0, weight = _weight(tree, stat)
+    table: dict[tuple[int, int], int] = {}
+    for (size, _, s), count in _class_table(tree, (weight,)).items():
+        key = (size, c0 * size + s)
+        table[key] = table.get(key, 0) + count
+    return table
 
 
 @dataclass(frozen=True)
@@ -277,28 +317,32 @@ class HomometryVerdict:
 def check_homomesy(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomomesyVerdict:
+    """The verdict and constant come from the class fold (`_folded_sums`).
+    Only a failure builds the orbits, for its witness: the first orbit and
+    the first, in enumeration order, whose average differs from it."""
+    (size, total), *rest = _folded_sums(tree, stat, budget)
+    if all(s * size == total * o_size for o_size, s in rest):
+        return HomomesyVerdict(True, constant=Fraction(total, size))
     orbits, sums = _orbit_sums(tree, stat, budget)
     size, total = orbits[0].size, sums[0]
-    for o, s in zip(orbits[1:], sums[1:]):
-        if s * size != total * o.size:
-            return HomomesyVerdict(False, witness=(orbits[0], o))
-    return HomomesyVerdict(True, constant=Fraction(total, size))
+    other = next(o for o, s in zip(orbits, sums) if s * size != total * o.size)
+    return HomomesyVerdict(False, witness=(orbits[0], other))
 
 
 def check_homometry(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomometryVerdict:
-    """On failure the witness is canonical: the smallest offending orbit
-    size, and within it the first disagreeing pair in enumeration order."""
+    """The verdict and class table come from the class fold (`_folded_sums`).
+    Only a failure builds the orbits, for its witness, which is canonical:
+    the smallest offending orbit size, and within it the first disagreeing
+    pair in enumeration order."""
+    classes = sorted(_folded_sums(tree, stat, budget))
+    table = dict(classes)  # one sum per size iff no size repeats
+    if len(table) == len(classes):
+        return HomometryVerdict(True, class_table=table)
+    size = next(a for (a, _), (b, _) in zip(classes, classes[1:]) if a == b)
     orbits, sums = _orbit_sums(tree, stat, budget)
-    by_size: dict[int, list[tuple[Orbit, int]]] = {}
-    for o, s in zip(orbits, sums):
-        by_size.setdefault(o.size, []).append((o, s))
-    table: dict[int, int] = {}
-    for size in sorted(by_size):
-        (first, value) = by_size[size][0]
-        for o, v in by_size[size][1:]:
-            if v != value:
-                return HomometryVerdict(False, witness=(first, o))
-        table[size] = value
-    return HomometryVerdict(True, class_table=table)
+    same = [(o, s) for o, s in zip(orbits, sums) if o.size == size]
+    first, value = same[0]
+    other = next(o for o, s in same if s != value)
+    return HomometryVerdict(False, witness=(first, other))

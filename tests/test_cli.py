@@ -343,6 +343,28 @@ class TestExitCodes:
                     code, out, err = run([verb, *source, "--mode", mode])
                     assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_modulus_refused_before_the_poset_is_built(self, monkeypatch):
+        def unreachable(args):
+            raise AssertionError("the poset was built before --mode was checked")
+
+        monkeypatch.setattr(cli, "_input_poset", unreachable)
+        for argv, message in (
+            (
+                ["birational", "--family", "cbt:14", "--mode", "modp:9"],
+                "mod-p arithmetic needs a prime modulus, got 9",
+            ),
+            (
+                ["birational", "--tree", "(())", "--mode", "modp:1"],
+                "mod-p arithmetic needs a prime modulus, got 1",
+            ),
+            (
+                ["pl", "--family", "cbt:14", "--mode", "modp:7"],
+                "piecewise-linear search runs over the rationals",
+            ),
+        ):
+            code, out, err = run(argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
 
 def exit_code(argv):
     """Exit code, stdout and stderr of ``main(argv)``, argparse's exits

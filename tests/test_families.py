@@ -361,18 +361,22 @@ class TestProfileAlgebra:
     def test_fold_matches_brute_force(self):
         """Both steps folded over every plane tree with <= 10 nodes, nodes
         with three or more children included: at each branch the union of
-        its child branches' tables, under a chain of beta nodes."""
+        its child branches' tables, under a chain of beta nodes.  The
+        union is the class fold's (`_folded_table`, the three-leaf
+        table), whose root steps read node weights instead."""
         trees = 0
         for n in range(1, 11):
             for parents in oracles.parent_vectors(n):
                 tree = RootedTree(parents)
                 table = poset._fold(
                     tree,
-                    families._EMPTY_FOREST,
-                    families._union,
+                    {(1, 1, 0, 0): 1},  # the empty forest: {} alone
+                    rowmotion._join_classes,
                     lambda t, spec: families._add_root(t, spec.beta),
                 )
-                assert families._labeled(table) == member_profile(tree).classes
+                expected = member_profile(tree).classes
+                assert families._labeled(table) == expected
+                assert families._labeled(families._folded_table(tree)) == expected
                 trees += 1
         assert trees == 6918
 

@@ -1,7 +1,10 @@
 """Property-based checks over random trees, posets, and statistics."""
 
 import random
+import re
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +29,7 @@ from treerow import (
     validate_tiling,
 )
 from treerow import stats
+from treerow.errors import SpecParseError
 
 ALL_POSETS = {
     n: [Poset(n, oracles.covers_of(n, rel)) for rel in oracles.all_posets(n)]
@@ -126,25 +130,53 @@ class TestStatisticProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(TERM, min_size=1, max_size=5))
     def test_spec_roundtrip(self, raw_terms):
-        stat = Statistic(
-            tuple(
-                (c, a, node if a.endswith("_x") else None)
-                for c, a, node in raw_terms
-            )
-        )
+        stat = combination(None, raw_terms)
         assert parse_statistic(stat.spec()) == stat
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(TERM, min_size=1, max_size=5), st.data())
+    def test_spaces_between_tokens_never_inside_one(self, raw_terms, data):
+        stat = combination(None, raw_terms)
+        tokens = re.findall(r"[0-9]+|[a-z_]+|[-+*:]", stat.spec())
+        n_gaps = len(tokens) + 1
+        gaps = data.draw(
+            st.lists(st.sampled_from(["", " ", "  "]), min_size=n_gaps, max_size=n_gaps)
+        )
+        spaced = "".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+        assert parse_statistic(spaced) == stat
+        i = data.draw(st.sampled_from([i for i, t in enumerate(tokens) if len(t) > 1]))
+        cut = data.draw(st.integers(1, len(tokens[i]) - 1))
+        tokens[i] = tokens[i][:cut] + " " + tokens[i][cut:]
+        with pytest.raises(SpecParseError):
+            parse_statistic("".join(tokens))
 
     @settings(max_examples=60, deadline=None)
     @given(trees(max_n=12), st.lists(TERM, min_size=1, max_size=5))
     def test_orbit_sums_from_the_build(self, tree, raw_terms):
         """The sums carried through the orbit build are the member-by-member
         sums, on random trees and random integer combinations."""
-        stat = Statistic(
-            tuple(
-                (c, a, node % tree.n if a.endswith("_x") else None)
-                for c, a, node in raw_terms
-            )
-        )
+        stat = combination(tree, raw_terms)
         orbits, sums = stats._orbit_sums(tree, stat, 10**6)
         assert orbits == all_orbits(tree)
         assert sums == [sum(stats._term_sums(tree, stat, o.masks)) for o in orbits]
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees(max_n=10), st.lists(TERM, min_size=1, max_size=5))
+    def test_folded_sums_count_the_enumerated_ones(self, tree, raw_terms):
+        """The class fold counts the orbits of each size and sum as the
+        orbit build does, on random integer combinations."""
+        stat = combination(tree, raw_terms)
+        orbits, sums = stats._orbit_sums(tree, stat, 10**6)
+        expected = Counter((o.size, s) for o, s in zip(orbits, sums))
+        assert stats._folded_sums(tree, stat, 10**6) == expected
+
+
+def combination(tree, raw_terms):
+    """The statistic of ``TERM`` draws, node ids taken mod the tree's size
+    (as drawn with no tree)."""
+    n = tree.n if tree is not None else 31
+    return Statistic(
+        tuple(
+            (c, a, node % n if a.endswith("_x") else None) for c, a, node in raw_terms
+        )
+    )

@@ -1,6 +1,7 @@
 """Statistics, orbit sums via tilings, homomesy and homometry checks."""
 
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 from enum import IntEnum
 from fractions import Fraction
@@ -31,7 +32,7 @@ from treerow import (
 )
 from treerow import rowmotion
 from treerow import stats as stats_module
-from treerow.errors import SpecParseError
+from treerow.errors import BudgetExceededError, SpecParseError
 from treerow.poset import _bits, _down_mask
 
 STAR_332 = parse_tree("((())(())())")
@@ -66,9 +67,23 @@ class TestStatisticAlgebra:
             ((2, "chi", None), (1, "hatchi", None))
         )
 
+    def test_spaces_stand_between_tokens(self):
+        assert parse_statistic(" - 2 * hatchi_x : 3 + chi_x :0 ") == Statistic(
+            ((-2, "hatchi_x", 3), (1, "chi_x", 0))
+        )
+
+    def test_spaces_never_split_a_token(self):
+        # no longer read as chi_x:12, 20*chi, chi_x:3 and hatchi
+        cases = (("chi_x:1 2", 8), ("2 0*chi", 0), ("chi _x:3", 4), ("hat chi", 0))
+        for bad, pos in cases:
+            with pytest.raises(SpecParseError) as exc:
+                parse_statistic(bad)
+            assert str(exc.value) == f"cannot parse statistic {bad!r} at position {pos}"
+
     def test_parse_errors(self):
         for bad in (
             "",
+            "   ",
             "chi_x",
             "hatchi:3",
             "2chi",
@@ -324,6 +339,120 @@ class TestHomometry:
         }
         expected = next(o for o in orbits if o.size == 4 and sums[o] != sums[first])
         assert second == expected
+
+
+def enumerated_classes(tree, stat):
+    """`_orbit_sums` as ``(size, sum) -> count``, the reference for the fold."""
+    orbits, sums = stats_module._orbit_sums(tree, stat, 10**6)
+    return Counter((o.size, s) for o, s in zip(orbits, sums))
+
+
+def enumerated_verdicts(tree, stat):
+    """Both verdicts taken from every orbit and its sum, in enumeration
+    order, as they were before the fold: the reference for the verdicts
+    and their witnesses."""
+    orbits, sums = stats_module._orbit_sums(tree, stat, 10**6)
+    size, total = orbits[0].size, sums[0]
+    odd = [o for o, s in zip(orbits, sums) if s * size != total * o.size]
+    if odd:
+        mesy = stats_module.HomomesyVerdict(False, witness=(orbits[0], odd[0]))
+    else:
+        mesy = stats_module.HomomesyVerdict(True, constant=Fraction(total, size))
+    by_size = {}
+    for o, s in zip(orbits, sums):
+        by_size.setdefault(o.size, []).append((o, s))
+    table = {}
+    for size in sorted(by_size):
+        first, value = by_size[size][0]
+        other = [o for o, v in by_size[size] if v != value]
+        if other:
+            return mesy, stats_module.HomometryVerdict(False, witness=(first, other[0]))
+        table[size] = value
+    return mesy, stats_module.HomometryVerdict(True, class_table=table)
+
+
+class TestFoldedSums:
+    """`_folded_sums` counts the orbits of each size and sum with no
+    antichain built; the verdicts take it, and enumerate only for the
+    witness of a failure."""
+
+    def test_every_plane_tree_up_to_ten_nodes(self):
+        """Every atom at once: one statistic weighs chi, hatchi and each
+        chi_x and hatchi_x by its own power of a base larger than any
+        atom's orbit sum, so equal (size, sum) counts mean equal counts of
+        orbits by size and the sums of all the atoms together."""
+        count = 0
+        for n in range(1, 11):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                atoms = [("chi", None), ("hatchi", None)]
+                atoms += [(a, x) for a in ("chi_x", "hatchi_x") for x in range(n)]
+                base = n * tree.count_antichains() + 1
+                packed = Statistic(
+                    tuple((base**i, a, x) for i, (a, x) in enumerate(atoms))
+                )
+                got = stats_module._folded_sums(tree, packed, 10**6)
+                assert got == enumerated_classes(tree, packed), tree.to_spec()
+                count += 1
+        assert count == 6918
+
+    def test_every_atom_of_the_small_trees(self):
+        for tree in TREES:
+            for stat in every_atom(tree):
+                got = stats_module._folded_sums(tree, stat, 10**6)
+                assert got == enumerated_classes(tree, stat), (tree.to_spec(), stat)
+
+    def test_verdicts_and_witnesses_as_enumerated(self):
+        negative = 0
+        for tree in TREES:
+            for stat in every_atom(tree):
+                mesy, metry = enumerated_verdicts(tree, stat)
+                assert check_homomesy(tree, stat) == mesy, (tree.to_spec(), stat)
+                verdict = check_homometry(tree, stat)
+                assert verdict == metry, (tree.to_spec(), stat)
+                if verdict.is_homometric:  # in size order, as the CLI prints it
+                    assert list(verdict.class_table) == sorted(verdict.class_table)
+                negative += not mesy.is_homomesic
+        assert negative > 1000
+
+    @pytest.mark.parametrize("family", ["cbt:3", "zipper:2"])
+    def test_failures_keep_their_witnesses(self, family):
+        tree = make_family(parse_family(family))
+        for stat in every_atom(tree):
+            mesy, metry = enumerated_verdicts(tree, stat)
+            assert check_homomesy(tree, stat) == mesy, stat
+            assert check_homometry(tree, stat) == metry, stat
+
+    def test_positive_verdicts_build_no_orbit(self, monkeypatch):
+        calls = []
+        build = stats_module._built_orbits
+
+        def counted(tree, budget, weight):
+            calls.append(tree.n)
+            return build(tree, budget, weight)
+
+        monkeypatch.setattr(stats_module, "_built_orbits", counted)
+        star = make_family(parse_family("star:5,7,8,9,11"))
+        zipper = make_family(parse_family("zipper:6"))
+        assert check_homomesy(star, Statistic.chi()).constant == Fraction(120032, 27721)
+        assert check_homometry(zipper, Statistic.chi()).is_homometric
+        assert check_homometry(zipper, Statistic.hatchi()).is_homometric
+        assert calls == []
+        # a failure builds the orbits once, for its witness
+        cbt = make_family(parse_family("cbt:3"))
+        assert not check_homometry(cbt, Statistic.chi()).is_homometric
+        assert calls == [cbt.n]
+
+    def test_budget_refuses_a_tree_the_fold_could_answer(self):
+        tree = make_family(CompleteBinary(6))  # about 4.4e22 antichains
+        for check in (check_homometry, check_homomesy):
+            with pytest.raises(BudgetExceededError):
+                check(tree, Statistic.hatchi())
+        star = make_family(parse_family("star:5,7,8,9,11"))
+        total = star.count_antichains()
+        with pytest.raises(BudgetExceededError):
+            check_homomesy(star, Statistic.chi(), budget=total - 1)
+        assert check_homomesy(star, Statistic.chi(), budget=total).is_homomesic
 
 
 class TestNodeIdsCheckedFirst:
