@@ -151,6 +151,16 @@ def _require_prime(p) -> None:
         raise ValueError(f"mod-p arithmetic needs a prime modulus, got {p!r}")
 
 
+def _check_modulus(kind: str, p: Optional[int]) -> None:
+    """Refuse a modulus ``p`` that an order search of ``kind`` cannot run
+    on: any, for the PL search, and one that is not prime for the
+    birational search."""
+    if p is not None:
+        if kind == "pl":
+            raise ValueError("piecewise-linear search runs over the rationals")
+        _require_prime(p)
+
+
 def _residue(v, p: int) -> int:
     """A `Fraction` as num·den⁻¹ mod p, or a plain int reduced mod p."""
     if isinstance(v, Fraction):
@@ -494,18 +504,15 @@ def order_search(
         raise ValueError("max_retries must be >= 0")
     if kind not in ("pl", "birational"):
         raise ValueError(f"unknown rowmotion kind {kind!r}")
+    _check_modulus(kind, p)
     if f0 is not None:
         _require_on(poset, f0)
     plan = _plan(poset, reversed(_extension(poset, None)))
     if kind == "pl":
         if f0 is not None:
             _require_rational(f0)
-        if p is not None:
-            raise ValueError("piecewise-linear search runs over the rationals")
         make = random_pl_point
     else:
-        if p is not None:
-            _require_prime(p)
         if f0 is not None:
             if p is not None and p != f0.p:
                 raise ValueError("start point and search disagree on the modulus")

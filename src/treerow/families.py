@@ -12,12 +12,14 @@ the orbit through the empty antichain grows, and every nonempty ideal
 gains the chain).  The three-leaf table is the class fold over its tree
 (`rowmotion._class_table`, the fold of `stats`' homomesy and homometry
 verdicts), which joins by the same step and reads its root steps off
-chi's and hatchi's node weights.  Classes are labelled O1, O2, ... once,
-when a step or `observed_profile` returns them.  `observed_profile`
-enumerates: it builds the orbits once, carrying each orbit's hatchi sum
-through the build (`rowmotion._hatchi_weight`), and counts the members'
-chi from their masks.  It is the table that the closed forms and both
-steps are checked against; the tests hold it to a member-by-member sum.
+chi's and hatchi's ``(c0, w)`` pairs; `rowmotion` turns such a pair into
+orbit sums.  Classes are labelled O1, O2, ... once, when a step or
+`observed_profile` returns them, the delta class first, then by key
+(`_in_class_order`).  `observed_profile` enumerates: it builds the
+orbits once, carrying each orbit's hatchi sum through the build
+(`rowmotion._hatchi_weight`), and counts the members' chi from their
+masks.  It is the table that the closed forms and both steps are checked
+against; the tests hold it to a member-by-member sum.
 
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
@@ -404,7 +406,9 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
         b = desc.b if isinstance(desc, ExtendedStar) else 1
         return OrbitProfile(tuple(_star_classes(b, desc.alphas)))
     if isinstance(desc, ThreeLeaf):
-        return OrbitProfile(_labeled(_folded_table(make_family(desc))))
+        tree = make_family(desc)
+        chi = 0, [1] * tree.n
+        return OrbitProfile(_labeled(_class_table(tree, (chi, _hatchi_weight(tree)))))
     if isinstance(desc, Tk):
         k = desc.k
         classes = (
@@ -433,26 +437,17 @@ def _normalize(classes) -> _Table:
     return out
 
 
+def _in_class_order(keys) -> list:
+    """Table keys in class order: the delta class first, then by key."""
+    return sorted(keys, key=lambda k: (-k[1], k))
+
+
 def _labeled(table: _Table) -> tuple[OrbitClass, ...]:
-    """Classes of a table: the delta class first, then by key, labelled
-    O1, O2, ..."""
+    """Classes of a table in class order, labelled O1, O2, ..."""
     return tuple(
-        OrbitClass(f"O{idx}", size, count, chi, hatchi, delta)
-        for idx, ((size, delta, chi, hatchi), count) in enumerate(
-            sorted(table.items(), key=lambda kv: (-kv[0][1], kv[0])), start=1
-        )
+        OrbitClass(f"O{i}", size, table[size, delta, chi, hatchi], chi, hatchi, delta)
+        for i, (size, delta, chi, hatchi) in enumerate(_in_class_order(table), 1)
     )
-
-
-def _folded_table(tree: RootedTree) -> _Table:
-    """The table of ``tree`` by `rowmotion._class_table`, with no antichain
-    built: chi's weight is 1 on every node, hatchi's `_hatchi_weight`."""
-    c0, w_hat = _hatchi_weight(tree)
-    folded = _class_table(tree, ([1] * tree.n, w_hat))
-    return {
-        (size, delta, chi, c0 * size + hatchi): count
-        for (size, delta, chi, hatchi), count in folded.items()
-    }
 
 
 def _add_root(table: _Table, k: int) -> _Table:
@@ -497,12 +492,10 @@ def observed_profile(
 ) -> OrbitProfile:
     """Enumerated orbit table: one orbit build, which carries each orbit's
     hatchi sum, and each orbit's chi counted off its members' masks."""
-    c0, weight = _hatchi_weight(tree)
-    orbits, sums = _built_orbits(tree, budget, weight)
+    orbits, sums = _built_orbits(tree, budget, _hatchi_weight(tree))
     table: _Table = {}
-    for orbit, s in zip(orbits, sums):
-        size = orbit.size
-        key = (size, orbit.delta, sum(map(int.bit_count, orbit.masks)), c0 * size + s)
+    for orbit, hatchi in zip(orbits, sums):
+        key = (orbit.size, orbit.delta, sum(map(int.bit_count, orbit.masks)), hatchi)
         table[key] = table.get(key, 0) + 1
     return OrbitProfile(_labeled(table))
 
@@ -565,7 +558,7 @@ def verify_family(
     want, got = _normalize(predicted.classes), _normalize(observed.classes)
     diffs = tuple(
         ClassDiff(*key, want.get(key, 0), got.get(key, 0))
-        for key in sorted(set(want) | set(got), key=lambda k: (-k[1], k))
+        for key in _in_class_order(set(want) | set(got))
     )
     predicted_total = predicted.total_antichains
     observed_total = tree.count_antichains()

@@ -14,21 +14,21 @@ below a forest only puts ``{root}`` just after ``{}`` in the cycle through
 `poset._fold` over the branches.  `orbit_of` still takes rowmotion steps,
 and `enumerate_antichains` still walks the antichains one by one.
 
-The build (`_built_orbits`) also carries one integer per cycle, the sum
-of a node weight ``w[y]`` over the elements ``y`` of its members.  A
-joined cycle holds each member of ``A`` lcm/a times and each of ``B``
-lcm/b times, so it sums to ``lcm/a * S_A + lcm/b * S_B``; a root step
+The build (`_built_orbits`) can also carry a statistic's sum over each
+orbit.  Rowmotion permutes each orbit, and the complement of ``down(A)``
+is the disjoint union of the subtrees ``up[y]``, y in ``rho(A)``, so any
+statistic is a pair ``(c0, w)`` (`_hatchi_weight`, `stats._weight`) that
+sums over an orbit ``O`` to ``c0 * |O|`` plus ``w[y]`` over the elements
+``y`` of its members; this module alone applies that rule.  A joined
+cycle holds each member of ``A`` lcm/a times and each of ``B`` lcm/b
+times, so its weight sum is ``lcm/a * S_A + lcm/b * S_B``; a root step
 adds ``w[x] + ... + w[j]`` to the delta cycle, its singletons being the
-only new members.  Rowmotion permutes each orbit, and the complement of
-``down(A)`` is the disjoint union of the subtrees ``up[y]``, y in
-``rho(A)``, so every statistic's orbit sum is ``c0 * |O|`` plus such a
-weight sum (`stats._orbit_sums`; hatchi's weight is `_hatchi_weight`,
-which `families.observed_profile` reads too).  `all_orbits` is the same
-build with no weights.  `_class_table` runs the fold on class tables
-``(size, delta, *sums) -> count`` instead, with no antichain built:
-`_join_classes` pairs classes as `_join` pairs cycles.  `stats` takes its
-homomesy and homometry verdicts from it, and `families` its three-leaf
-table and the union of `combine_profiles`.
+only new members; ``c0 * |O|`` is added once the fold is done.
+`all_orbits` is the same build with no statistic.  `_class_table` runs
+the fold on class tables ``(size, delta, *sums) -> count`` instead, with
+no antichain built: `_join_classes` pairs classes as `_join` pairs
+cycles.  `stats` takes its homomesy and homometry verdicts from it, and
+`families` its three-leaf table and the union of `combine_profiles`.
 
 Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
 of the ideal's indicator point, 0 on the ideal and 1 off it; `rho_ideal`
@@ -369,15 +369,18 @@ def _join_classes(left: dict, right: dict) -> dict:
     return table
 
 
-def _class_table(tree: RootedTree, weights: Sequence[Sequence[int]]) -> dict:
+def _class_table(
+    tree: RootedTree, weights: Sequence[tuple[int, Sequence[int]]]
+) -> dict:
     """The orbits of ``tree`` as a class table ``(size, delta, *S) -> count``,
-    ``S`` holding each weight's sum over the elements of an orbit's members,
-    with no antichain built: `_built_orbits`' fold, run on the classes.  A
-    root step adds a branch's nodes to the delta class's size and their
-    weights to its sums, and leaves every other class as it is."""
+    the delta class first, ``S`` holding the sum over an orbit of each
+    ``(c0, w)`` pair in ``weights``, with no antichain built: `_built_orbits`'
+    fold, run on the classes.  A root step adds a branch's nodes to the
+    delta class's size and their weights to its sums, and leaves every
+    other class as it is; ``c0 * size`` is added to each sum at the end."""
 
     def root(table, spec):
-        adds = [sum([w[x] for x in spec.nodes]) for w in weights]
+        adds = [sum([w[x] for x in spec.nodes]) for _, w in weights]
         out = {}
         for key, count in table.items():
             if key[1]:
@@ -385,7 +388,13 @@ def _class_table(tree: RootedTree, weights: Sequence[Sequence[int]]) -> dict:
             out[key] = count
         return out
 
-    return _fold(tree, {(1, 1, *[0] * len(weights)): 1}, _join_classes, root)
+    table = _fold(tree, {(1, 1, *[0] * len(weights)): 1}, _join_classes, root)
+    for i, (c0, _) in enumerate(weights, 2):  # key[i]: this statistic's sum
+        table = {
+            key[:i] + (c0 * key[0] + key[i],) + key[i + 1 :]: count
+            for key, count in table.items()
+        }
+    return table
 
 
 def all_orbits(
@@ -411,24 +420,23 @@ def all_orbits(
 
 
 def _hatchi_weight(tree: RootedTree) -> tuple[int, list[int]]:
-    """hatchi as a constant ``c0`` and a node weight ``w``: the complement
-    of ``down(A)`` is the disjoint union of the subtrees ``up[y]``, y in
-    ``rho(A)``, so ``hatchi(A) = n - sum_{y in rho(A)} |up[y]|``, and over
-    an orbit ``O`` hatchi sums to ``n * |O|`` plus the sum of
-    ``w[y] = -|up[y]|`` over the elements of its members."""
+    """hatchi as its ``(c0, w)`` pair: the complement of ``down(A)`` is
+    the disjoint union of the subtrees ``up[y]``, y in ``rho(A)``, so
+    ``hatchi(A) = n - sum_{y in rho(A)} |up[y]|``, which is ``c0 = n`` and
+    ``w[y] = -|up[y]|``."""
     return tree.n, [-u.bit_count() for u in tree.up]
 
 
 def _built_orbits(
-    tree: RootedTree, budget: int, weight: Optional[Sequence[int]]
+    tree: RootedTree, budget: int, weight: Optional[tuple[int, Sequence[int]]]
 ) -> tuple[tuple[Orbit, ...], Optional[list[int]]]:
-    """`all_orbits`, and each orbit's sum of ``weight[y]`` over the
-    elements ``y`` of its members, carried through the build as the module
-    docstring says.  With ``weight`` None no sum is taken, and the sums
-    come back None.  The build is a `_fold`; a subtree's value is its
-    cycles, the delta cycle first with {} at index 0, and their sums.  The
-    cycles are lists: the freed ones go back to the allocator, where tuples
-    would stay on CPython's per-size free lists and raise the peak memory.
+    """`all_orbits`, and the sum over each orbit of the ``(c0, w)`` pair
+    ``weight``, carried through the build as the module docstring says.
+    With ``weight`` None no sum is taken, and the sums come back None.  The
+    build is a `_fold`; a subtree's value is its cycles, the delta cycle
+    first with {} at index 0, and their weight sums.  The cycles are lists:
+    the freed ones go back to the allocator, where tuples would stay on
+    CPython's per-size free lists and raise the peak memory.
     """
     _check_budget(tree, budget)
 
@@ -437,14 +445,17 @@ def _built_orbits(
         # {top}, ..., {deepest} go just after {}, in a copy: the leaf value is shared
         cycles[0] = [0, *[1 << x for x in reversed(spec.nodes)], *cycles[0][1:]]
         if sums is not None:
-            sums = [sums[0] + sum([weight[x] for x in spec.nodes]), *sums[1:]]
+            sums = [sums[0] + sum([w[x] for x in spec.nodes]), *sums[1:]]
         return cycles, sums
 
-    leaf = [[0]], None if weight is None else [0]
+    c0, w = (0, None) if weight is None else weight
+    leaf = [[0]], None if w is None else [0]
     (delta, *rest), sums = _fold(tree, leaf, _join, root)
     rest = list(map(_canonical, map(tuple, rest)))
     keys = [_lex_key(c[0]) for c in rest]
     order = sorted(range(len(rest)), key=keys.__getitem__)
+    orbits = (Orbit._of(tuple(delta)), *[Orbit._of(rest[i]) for i in order])
     if sums is not None:
         sums = [sums[0], *[sums[i + 1] for i in order]]
-    return (Orbit._of(tuple(delta)), *[Orbit._of(rest[i]) for i in order]), sums
+        sums = [c0 * o.size + s for o, s in zip(orbits, sums)]
+    return orbits, sums

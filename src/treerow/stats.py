@@ -26,26 +26,22 @@ antichain's members are disjoint subtrees, so
     hatchi(A)   = n - sum_{y in rho(A)} |up[y]|
     hatchi_x(A) = 1 - #{y in rho(A) : y <= x}
 
-Rowmotion permutes each orbit, so over an orbit ``O`` every statistic
-sums to ``c0 * |O| + sum_{B in O} sum_{y in B} w[y]``, with a weight
-``w[y]`` per node and a constant ``c0`` read off its terms (`_weight`).
-`rowmotion._hatchi_weight` states hatchi's weight once, for this module
-and for `families`, which reads it without importing this module.
+So every statistic is a constant ``c0`` and a weight ``w[y]`` per node,
+read off its terms by `_weight` (hatchi's pair is
+`rowmotion._hatchi_weight`, which `families` reads too), and `rowmotion`
+alone turns such a pair into orbit sums (its module docstring).
 
-A verdict needs only how many orbits of each size carry each sum, and
-`_folded_sums` counts them with no antichain built:
-`rowmotion._class_table` folds a table ``(size, delta, S) -> count``
-over the branches, pairing the classes of sibling subtrees as the orbit
-build pairs cycles and adding a branch's nodes and weights to the delta
-class.  `check_homomesy` and `check_homometry` take their verdict, the
-constant and the class table from it; only a negative verdict builds
-the orbits (`_orbit_sums`, whose `rowmotion._built_orbits` carries each
-orbit's weight sum), to name its witness in enumeration order.  Both
-check the node ids first and then the budget, as the enumeration would,
-though the fold has no more classes than the tree has antichains.  The
-CLI's ``stats`` lists every orbit, so it takes `_orbit_sums` too.
-`eval_statistic` and `orbit_sum` (on an orbit it is given) still sum
-member by member through `_term_sums`.
+A verdict needs only how many orbits of each size carry each sum:
+`check_homomesy` and `check_homometry` take their verdict, the constant
+and the class table from `rowmotion._class_table`, a fold over the
+branches with no antichain built.  Only a negative verdict builds the
+orbits (`rowmotion._built_orbits`, from the same pair), to name its
+witness in enumeration order.  Both check the node ids first and then
+the budget, as the enumeration would, though the fold has no more
+classes than the tree has antichains.  The CLI's ``stats`` lists every
+orbit, so it takes the build too (`_orbit_sums`).  `eval_statistic` and
+`orbit_sum` (on an orbit it is given) still sum member by member through
+`_term_sums`.
 """
 
 from __future__ import annotations
@@ -90,6 +86,8 @@ class Statistic:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
+        if not self.terms:  # its spec would be '', which parse_statistic refuses
+            raise ValueError("a statistic needs at least one term")
         for coeff, atom, node in self.terms:
             if atom not in _ATOMS:
                 raise ValueError(f"unknown statistic atom {atom!r}")
@@ -213,10 +211,9 @@ def orbit_sum(tree: RootedTree, stat: Statistic, orbit: Orbit) -> int:
 
 
 def _weight(tree: RootedTree, stat: Statistic) -> tuple[int, list[int]]:
-    """``stat`` as a constant ``c0`` and a node weight ``w``: over an orbit
-    ``O`` it sums to ``c0 * |O|`` plus the sum of ``w[y]`` over the elements
-    of the members (the module docstring).  The node ids must have passed
-    ``_check_nodes``."""
+    """``stat`` as the ``(c0, w)`` pair that `rowmotion` sums over orbits
+    (the module docstring), its node ids checked first."""
+    _check_nodes(tree, stat)
     c0 = 0
     weight = [0] * tree.n
     for coeff, atom, node in stat.terms:
@@ -239,30 +236,9 @@ def _orbit_sums(
     tree: RootedTree, stat: Statistic, budget: int
 ) -> tuple[tuple[Orbit, ...], list[int]]:
     """All orbits of ``tree``, as `all_orbits` orders them, and the sum of
-    ``stat`` over each, its weight sums carried through the build, the node
-    ids checked before any enumeration."""
-    _check_nodes(tree, stat)
-    c0, weight = _weight(tree, stat)
-    orbits, sums = _built_orbits(tree, budget, weight)
-    return orbits, [c0 * o.size + s for o, s in zip(orbits, sums)]
-
-
-def _folded_sums(
-    tree: RootedTree, stat: Statistic, budget: int
-) -> dict[tuple[int, int], int]:
-    """How many orbits of each size carry each sum of ``stat``, as
-    ``(size, sum) -> count``, from `rowmotion._class_table` with no
-    antichain built.  The node ids are checked first, then the budget, as
-    for the enumerated sums, though the fold has no more classes than the
-    tree has antichains."""
-    _check_nodes(tree, stat)
-    _check_budget(tree, budget)
-    c0, weight = _weight(tree, stat)
-    table: dict[tuple[int, int], int] = {}
-    for (size, _, s), count in _class_table(tree, (weight,)).items():
-        key = (size, c0 * size + s)
-        table[key] = table.get(key, 0) + count
-    return table
+    ``stat`` over each, carried through the build, the node ids checked
+    before any enumeration."""
+    return _built_orbits(tree, budget, _weight(tree, stat))
 
 
 @dataclass(frozen=True)
@@ -317,14 +293,16 @@ class HomometryVerdict:
 def check_homomesy(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomomesyVerdict:
-    """The verdict and constant come from the class fold (`_folded_sums`).
-    Only a failure builds the orbits, for its witness: the first orbit and
-    the first, in enumeration order, whose average differs from it."""
-    (size, total), *rest = _folded_sums(tree, stat, budget)
-    if all(s * size == total * o_size for o_size, s in rest):
+    """The verdict and constant come from the class fold
+    (`rowmotion._class_table`).  Only a failure builds the orbits, for its
+    witness: the first orbit and the first, in enumeration order, whose
+    average differs from it."""
+    weight = _weight(tree, stat)
+    _check_budget(tree, budget)
+    (size, _, total), *rest = _class_table(tree, (weight,))
+    if all(s * size == total * o_size for o_size, _, s in rest):
         return HomomesyVerdict(True, constant=Fraction(total, size))
-    orbits, sums = _orbit_sums(tree, stat, budget)
-    size, total = orbits[0].size, sums[0]
+    orbits, sums = _built_orbits(tree, budget, weight)
     other = next(o for o, s in zip(orbits, sums) if s * size != total * o.size)
     return HomomesyVerdict(False, witness=(orbits[0], other))
 
@@ -332,16 +310,18 @@ def check_homomesy(
 def check_homometry(
     tree: RootedTree, stat: Statistic, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> HomometryVerdict:
-    """The verdict and class table come from the class fold (`_folded_sums`).
-    Only a failure builds the orbits, for its witness, which is canonical:
-    the smallest offending orbit size, and within it the first disagreeing
-    pair in enumeration order."""
-    classes = sorted(_folded_sums(tree, stat, budget))
+    """The verdict and class table come from the class fold
+    (`rowmotion._class_table`).  Only a failure builds the orbits, for its
+    witness, which is canonical: the smallest offending orbit size, and
+    within it the first disagreeing pair in enumeration order."""
+    weight = _weight(tree, stat)
+    _check_budget(tree, budget)
+    classes = sorted({(size, s) for size, _, s in _class_table(tree, (weight,))})
     table = dict(classes)  # one sum per size iff no size repeats
     if len(table) == len(classes):
         return HomometryVerdict(True, class_table=table)
     size = next(a for (a, _), (b, _) in zip(classes, classes[1:]) if a == b)
-    orbits, sums = _orbit_sums(tree, stat, budget)
+    orbits, sums = _built_orbits(tree, budget, weight)
     same = [(o, s) for o, s in zip(orbits, sums) if o.size == size]
     first, value = same[0]
     other = next(o for o, s in same if s != value)

@@ -362,8 +362,9 @@ class TestProfileAlgebra:
         """Both steps folded over every plane tree with <= 10 nodes, nodes
         with three or more children included: at each branch the union of
         its child branches' tables, under a chain of beta nodes.  The
-        union is the class fold's (`_folded_table`, the three-leaf
-        table), whose root steps read node weights instead."""
+        union is the class fold's (`rowmotion._class_table`, the
+        three-leaf table), whose root steps read chi's and hatchi's
+        ``(c0, w)`` pairs instead."""
         trees = 0
         for n in range(1, 11):
             for parents in oracles.parent_vectors(n):
@@ -376,7 +377,9 @@ class TestProfileAlgebra:
                 )
                 expected = member_profile(tree).classes
                 assert families._labeled(table) == expected
-                assert families._labeled(families._folded_table(tree)) == expected
+                chi, hatchi = (0, [1] * tree.n), rowmotion._hatchi_weight(tree)
+                folded = rowmotion._class_table(tree, (chi, hatchi))
+                assert families._labeled(folded) == expected
                 trees += 1
         assert trees == 6918
 

@@ -28,7 +28,7 @@ from treerow import (
     tiling_of_orbit,
     validate_tiling,
 )
-from treerow import stats
+from treerow import rowmotion, stats
 from treerow.errors import SpecParseError
 
 ALL_POSETS = {
@@ -167,8 +167,8 @@ class TestStatisticProperties:
         orbit build does, on random integer combinations."""
         stat = combination(tree, raw_terms)
         orbits, sums = stats._orbit_sums(tree, stat, 10**6)
-        expected = Counter((o.size, s) for o, s in zip(orbits, sums))
-        assert stats._folded_sums(tree, stat, 10**6) == expected
+        expected = Counter((o.size, o.delta, s) for o, s in zip(orbits, sums))
+        assert rowmotion._class_table(tree, (stats._weight(tree, stat),)) == expected
 
 
 def combination(tree, raw_terms):

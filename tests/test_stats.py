@@ -119,6 +119,11 @@ class TestStatisticAlgebra:
         with pytest.raises(ValueError, match="^chi_x needs a node id$"):
             Statistic(((1, "chi_x", None),))
 
+    def test_no_terms_refused(self):
+        # its spec would be '', which parse_statistic refuses
+        with pytest.raises(ValueError, match="^a statistic needs at least one term$"):
+            Statistic(())
+
     def test_parser_states_the_constructors_atom_node_rule(self):
         # one rule, the constructor's, reported as a parse error of the text
         for text, message in (
@@ -328,6 +333,25 @@ class TestHomometry:
                     checked += 1
         assert checked > 100
 
+    def test_hatchi_homometry_implies_chi_homometry_up_to_ten_nodes(self):
+        hatchi_homometric = 0
+        for n in range(1, 11):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                if check_homometry(tree, Statistic.hatchi()).is_homometric:
+                    assert check_homometry(tree, Statistic.chi()).is_homometric, (
+                        tree.to_spec()
+                    )
+                    hatchi_homometric += 1
+        assert hatchi_homometric == 5990  # of the 6,918 plane trees
+
+    def test_hatchi_but_not_chi_homometric_at_thirteen_nodes(self):
+        """The implication above fails from 13 nodes on."""
+        tree = parse_tree("(((())()()())((())(())()))")
+        assert (tree.n, tree.count_antichains()) == (13, 476)
+        assert check_homometry(tree, Statistic.hatchi()).is_homometric
+        assert not check_homometry(tree, Statistic.chi()).is_homometric
+
     def test_witness_is_canonical(self):
         tree = make_family(parse_family("cbt:3"))
         orbits = all_orbits(tree)
@@ -342,9 +366,15 @@ class TestHomometry:
 
 
 def enumerated_classes(tree, stat):
-    """`_orbit_sums` as ``(size, sum) -> count``, the reference for the fold."""
+    """`_orbit_sums` as ``(size, delta, sum) -> count``, the reference for
+    the fold."""
     orbits, sums = stats_module._orbit_sums(tree, stat, 10**6)
-    return Counter((o.size, s) for o, s in zip(orbits, sums))
+    return Counter((o.size, o.delta, s) for o, s in zip(orbits, sums))
+
+
+def folded_classes(tree, stat):
+    """The class fold's table of ``stat``, as the verdicts read it."""
+    return rowmotion._class_table(tree, (stats_module._weight(tree, stat),))
 
 
 def enumerated_verdicts(tree, stat):
@@ -372,9 +402,9 @@ def enumerated_verdicts(tree, stat):
 
 
 class TestFoldedSums:
-    """`_folded_sums` counts the orbits of each size and sum with no
-    antichain built; the verdicts take it, and enumerate only for the
-    witness of a failure."""
+    """`rowmotion._class_table` counts the orbits of each size, delta and
+    sum with no antichain built; the verdicts take it, and enumerate only
+    for the witness of a failure."""
 
     def test_every_plane_tree_up_to_ten_nodes(self):
         """Every atom at once: one statistic weighs chi, hatchi and each
@@ -391,7 +421,7 @@ class TestFoldedSums:
                 packed = Statistic(
                     tuple((base**i, a, x) for i, (a, x) in enumerate(atoms))
                 )
-                got = stats_module._folded_sums(tree, packed, 10**6)
+                got = folded_classes(tree, packed)
                 assert got == enumerated_classes(tree, packed), tree.to_spec()
                 count += 1
         assert count == 6918
@@ -399,7 +429,7 @@ class TestFoldedSums:
     def test_every_atom_of_the_small_trees(self):
         for tree in TREES:
             for stat in every_atom(tree):
-                got = stats_module._folded_sums(tree, stat, 10**6)
+                got = folded_classes(tree, stat)
                 assert got == enumerated_classes(tree, stat), (tree.to_spec(), stat)
 
     def test_verdicts_and_witnesses_as_enumerated(self):
@@ -442,6 +472,27 @@ class TestFoldedSums:
         cbt = make_family(parse_family("cbt:3"))
         assert not check_homometry(cbt, Statistic.chi()).is_homometric
         assert calls == [cbt.n]
+
+    def test_negative_verdicts_read_the_statistic_once(self, monkeypatch):
+        """The fold and the witness's build take one ``(c0, w)`` pair, from
+        one node-id check."""
+        calls = []
+
+        def counting(fn):
+            def counted(tree, stat):
+                calls.append(fn.__name__)
+                return fn(tree, stat)
+
+            return counted
+
+        for name in ("_weight", "_check_nodes"):
+            counted = counting(getattr(stats_module, name))
+            monkeypatch.setattr(stats_module, name, counted)
+        cbt = make_family(parse_family("cbt:3"))
+        for check in (check_homomesy, check_homometry):
+            calls.clear()
+            assert check(cbt, Statistic.chi()).witness is not None
+            assert calls == ["_weight", "_check_nodes"]
 
     def test_budget_refuses_a_tree_the_fold_could_answer(self):
         tree = make_family(CompleteBinary(6))  # about 4.4e22 antichains
