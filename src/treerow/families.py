@@ -42,6 +42,7 @@ from .poset import RootedTree, _decimal, _least_int, parse_tree
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     _built_orbits,
+    _check_budget,
     _class_table,
     _hatchi_weight,
     _join_classes,
@@ -492,7 +493,8 @@ def observed_profile(
 ) -> OrbitProfile:
     """Enumerated orbit table: one orbit build, which carries each orbit's
     hatchi sum, and each orbit's chi counted off its members' masks."""
-    orbits, sums = _built_orbits(tree, budget, _hatchi_weight(tree))
+    _check_budget(tree, budget)
+    orbits, sums = _built_orbits(tree, _hatchi_weight(tree))
     table: _Table = {}
     for orbit, hatchi in zip(orbits, sums):
         key = (orbit.size, orbit.delta, sum(map(int.bit_count, orbit.masks)), hatchi)

@@ -9,7 +9,13 @@ one interval form a chain — a *branch* — recorded as an
 :class:`IntervalSpec`.
 
 Down-sets and order tests are backed by per-element bitmasks, which keeps
-the rowmotion inner loops cheap without any dependencies.
+the rowmotion inner loops cheap without any dependencies.  A general
+:class:`Poset` builds them, and checks its covers for cycles and redundant
+pairs, when it is made.  A :class:`RootedTree` is built from its checked
+parent table alone, in linear passes, and builds its masks (``down``, ``up``
+and ``side``, O(n^2) bits in all) when each is first read: the subtree
+sizes, the children and the branches are all that counting antichains,
+folding over the branches and refusing a budget read.
 
 Every integer argument (sizes, ids, ends, budgets, parameters, moduli,
 mod-p values) is a plain int, ``type(x) is int``: a bool, float or int
@@ -203,13 +209,28 @@ class RootedTree(Poset):
     ``i - 1`` (including ``i - 1`` itself), which is exactly the preorder
     condition.  :func:`parse_tree` produces such tables from the nested
     parenthesis notation.
+
+    The checked table fixes everything else, so the tree is built from it
+    in a few linear passes and ``Poset.__init__`` is not run.  Every
+    parent has a smaller id than its child, so there is no cycle and id
+    order is a linear extension; a node has one lower cover, so no cover
+    is redundant.  Built at once, in O(n) space: ``parents``, ``children``
+    (also ``upper_covers``), ``lower_covers``, ``covers``, ``sizes``
+    (``sizes[x]`` nodes in x's subtree, the ids ``x .. x + sizes[x] - 1``),
+    ``leaves``, the branches (``interval_specs``, ``branch_of``) and
+    ``one_child_mask``.  The per-node masks ``down``, ``up`` and ``side``
+    take O(n^2) bits; each is built when it is first read, so counting
+    the antichains, folding over the branches or refusing a budget never
+    builds them.
     """
 
     def __init__(self, parents: Sequence[Optional[int]]):
         n = len(parents)
         if n == 0 or parents[0] is not None:
             raise ValueError("parents[0] must be None (the root)")
-        path = [0]
+        children: list[list[int]] = [[] for _ in range(n)]
+        sizes = [0] * n
+        path = [0]  # the ancestors of i - 1 and i - 1 itself, root first
         for i in range(1, n):
             p = parents[i]
             if type(p) is not int:  # None, or a bool or float posing as an id
@@ -219,65 +240,90 @@ class RootedTree(Poset):
                     else f"parent {p!r} of node {i} is not an int"
                 )
             while path and path[-1] != p:
-                path.pop()
+                x = path.pop()
+                sizes[x] = i - x  # x's subtree ends at i - 1
             if not path:
                 raise ValueError("ids are not in preorder: parent of "
                                  f"{i} must be an ancestor of {i - 1}")
             path.append(i)
+            children[p].append(i)
+        for x in path:
+            sizes[x] = n - x
+        self.n = n
         self.parents = tuple(parents)
-        super().__init__(n, ((parents[i], i) for i in range(1, n)))
         self.root = 0
-        # a node's upper covers are its children, sorted: increasing id
-        # is planar order
-        self.children = self.upper_covers
-        # side[x]: the children of every y <= x, as a bitmask.  The
-        # minimal elements outside down(A) are the members of
-        # OR side[a] (a in A) that down(A) misses, which is how rowmotion
-        # steps on a tree.
-        side = [0] * n
-        for x in range(n):
-            m = side[parents[x]] if x else 0
-            for c in self.children[x]:
-                m |= 1 << c
-            side[x] = m
-        self.side = tuple(side)
+        self.sizes = tuple(sizes)
+        # increasing id is planar order, so each child list is sorted
+        kids = tuple(map(tuple, children))
+        self.children = self.upper_covers = kids
+        self.lower_covers = ((),) + tuple([(p,) for p in self.parents[1:]])
+        self.covers = tuple([(x, c) for x, cs in enumerate(kids) for c in cs])
+        self._linear_extension = tuple(range(n))
+        self.full_mask = (1 << n) - 1
         # The nodes with exactly one child: that child is id + 1 and lies
-        # on the same branch, one step farther from the root.
-        self.one_child_mask = sum(1 << x for x in range(n) if len(self.children[x]) == 1)
+        # on the same branch, one step farther from the root.  Read off a
+        # string of bits, as a sum of n shifts would take O(n^2) time.
+        self.one_child_mask = int(
+            "".join(["1" if len(cs) == 1 else "0" for cs in reversed(kids)]), 2
+        )
 
         # Preorder ids make id order the planar depth-first order, so the
-        # leaves come out left to right.
-        leaves = [i for i in range(n) if not self.children[i]]
-        self.leaves = tuple(leaves)
-        self.n_leaves = len(leaves)
+        # leaves come out left to right; before[x] leaves have ids below x.
+        before = [0]
+        for cs in kids:
+            before.append(before[-1] + (not cs))
+        self.leaves = tuple([x for x, cs in enumerate(kids) if not cs])
+        self.n_leaves = len(self.leaves)
 
-        interval: list[tuple[int, int]] = [(0, 0)] * n
-        for label, x in enumerate(leaves, start=1):
-            interval[x] = (label, label)
-        for x in range(n - 1, -1, -1):
-            if self.children[x]:
-                interval[x] = (interval[self.children[x][0]][0],
-                               interval[self.children[x][-1]][1])
-
-        by_interval: dict[tuple[int, int], list[int]] = {}
-        for x in range(n):
-            by_interval.setdefault(interval[x], []).append(x)
+        # A branch runs down one-child nodes, top, top + 1, ..., to a node
+        # x with none or several; id x + 1 tops the next branch.  So the
+        # branches come in increasing order of their tops, which `_fold`
+        # needs, and the leaves of x's subtree are labeled before[x] + 1 to
+        # before[x + sizes[x]].
         specs: dict[tuple[int, int], IntervalSpec] = {}
         branch_of: dict[int, tuple[tuple[int, int], int]] = {}
-        for iv, nodes in by_interval.items():
-            nodes.reverse()  # appended by id, and a child's is larger: deepest first
-            specs[iv] = IntervalSpec(iv, len(nodes), tuple(nodes))
-            for j, x in enumerate(nodes, start=1):
-                branch_of[x] = (iv, j)
-        self.interval_specs = specs
-        self.branch_of = branch_of
-
         # each list descends: nested intervals, outermost (smallest top id) first
         starts: dict[int, list[int]] = {}
-        for lo, hi in specs:
-            starts.setdefault(lo, []).append(hi)
+        top = 0
+        for x, cs in enumerate(kids):
+            if len(cs) == 1:
+                continue
+            iv = (before[x] + 1, before[x + sizes[x]])
+            nodes = tuple(range(x, top - 1, -1))  # deepest first
+            specs[iv] = IntervalSpec(iv, len(nodes), nodes)
+            for j, y in enumerate(nodes, start=1):
+                branch_of[y] = (iv, j)
+            starts.setdefault(iv[0], []).append(iv[1])
+            top = x + 1
+        self.interval_specs = specs
+        self.branch_of = branch_of
         self._starts = starts
         self._partition_cache: dict[tuple[tuple[int, int], bool], tuple] = {}
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a mask table
+        # not read before.
+        if name == "up":  # x's subtree, the ids x .. x + sizes[x] - 1
+            masks = [((1 << s) - 1) << x for x, s in enumerate(self.sizes)]
+        elif name == "down":  # x and its ancestors
+            masks = [1]
+            for x, p in enumerate(self.parents[1:], start=1):
+                masks.append(masks[p] | 1 << x)
+        elif name == "side":
+            # the children of every y <= x.  The minimal elements outside
+            # down(A) are the members of OR side[a] (a in A) that down(A)
+            # misses, which is how rowmotion steps on a tree.
+            masks = []
+            for x, cs in enumerate(self.children):
+                m = masks[self.parents[x]] if x else 0
+                for c in cs:
+                    m |= 1 << c
+                masks.append(m)
+        else:
+            raise AttributeError(name)
+        masks = tuple(masks)
+        setattr(self, name, masks)
+        return masks
 
     @classmethod
     def from_spec(cls, spec: str) -> "RootedTree":

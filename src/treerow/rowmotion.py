@@ -300,7 +300,7 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     _check_budget(tree, budget)
     n = tree.n
     # after[x]: the first id past x's subtree
-    after = [x + u.bit_count() for x, u in enumerate(tree.up)]
+    after = [x + s for x, s in enumerate(tree.sizes)]
     out, stack = [0], [(0, 0)]  # (mask so far, smallest id that may come next)
     while stack:
         mask, x = stack.pop()
@@ -416,29 +416,30 @@ def all_orbits(
     and the order in which a lex walk of the antichains, stepping round
     each orbit it has not seen, would meet them.
     """
-    return _built_orbits(tree, budget, None)[0]
+    _check_budget(tree, budget)
+    return _built_orbits(tree, None)[0]
 
 
 def _hatchi_weight(tree: RootedTree) -> tuple[int, list[int]]:
     """hatchi as its ``(c0, w)`` pair: the complement of ``down(A)`` is
     the disjoint union of the subtrees ``up[y]``, y in ``rho(A)``, so
     ``hatchi(A) = n - sum_{y in rho(A)} |up[y]|``, which is ``c0 = n`` and
-    ``w[y] = -|up[y]|``."""
-    return tree.n, [-u.bit_count() for u in tree.up]
+    ``w[y] = -|up[y]|``, minus the size of y's subtree."""
+    return tree.n, [-s for s in tree.sizes]
 
 
 def _built_orbits(
-    tree: RootedTree, budget: int, weight: Optional[tuple[int, Sequence[int]]]
+    tree: RootedTree, weight: Optional[tuple[int, Sequence[int]]]
 ) -> tuple[tuple[Orbit, ...], Optional[list[int]]]:
     """`all_orbits`, and the sum over each orbit of the ``(c0, w)`` pair
     ``weight``, carried through the build as the module docstring says.
     With ``weight`` None no sum is taken, and the sums come back None.  The
-    build is a `_fold`; a subtree's value is its cycles, the delta cycle
-    first with {} at index 0, and their weight sums.  The cycles are lists:
-    the freed ones go back to the allocator, where tuples would stay on
-    CPython's per-size free lists and raise the peak memory.
+    caller checks the budget first, once: a verdict has checked it for its
+    fold already.  The build is a `_fold`; a subtree's value is its cycles,
+    the delta cycle first with {} at index 0, and their weight sums.  The
+    cycles are lists: the freed ones go back to the allocator, where tuples
+    would stay on CPython's per-size free lists and raise the peak memory.
     """
-    _check_budget(tree, budget)
 
     def root(built, spec):
         cycles, sums = built[0].copy(), built[1]

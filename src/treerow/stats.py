@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import _EXPORTS
 from .errors import SpecParseError
-from .poset import RootedTree, _bits, _decimal, _down_mask, _least_int, _node_mask
+from .poset import RootedTree, _decimal, _down_mask, _least_int, _node_mask
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
     Orbit,
@@ -225,10 +225,12 @@ def _weight(tree: RootedTree, stat: Statistic) -> tuple[int, list[int]]:
             c_hat, w_hat = _hatchi_weight(tree)
             c0 += coeff * c_hat
             weight = [w + coeff * h for w, h in zip(weight, w_hat)]
-        else:  # hatchi_x: the y <= node are its down-set
+        else:  # hatchi_x: the y <= node, up its root path
             c0 += coeff
-            for y in _bits(tree.down[node]):
+            y = node
+            while y is not None:
                 weight[y] -= coeff
+                y = tree.parents[y]
     return c0, weight
 
 
@@ -238,7 +240,9 @@ def _orbit_sums(
     """All orbits of ``tree``, as `all_orbits` orders them, and the sum of
     ``stat`` over each, carried through the build, the node ids checked
     before any enumeration."""
-    return _built_orbits(tree, budget, _weight(tree, stat))
+    weight = _weight(tree, stat)
+    _check_budget(tree, budget)
+    return _built_orbits(tree, weight)
 
 
 @dataclass(frozen=True)
@@ -302,7 +306,7 @@ def check_homomesy(
     (size, _, total), *rest = _class_table(tree, (weight,))
     if all(s * size == total * o_size for o_size, _, s in rest):
         return HomomesyVerdict(True, constant=Fraction(total, size))
-    orbits, sums = _built_orbits(tree, budget, weight)
+    orbits, sums = _built_orbits(tree, weight)
     other = next(o for o, s in zip(orbits, sums) if s * size != total * o.size)
     return HomomesyVerdict(False, witness=(orbits[0], other))
 
@@ -321,7 +325,7 @@ def check_homometry(
     if len(table) == len(classes):
         return HomometryVerdict(True, class_table=table)
     size = next(a for (a, _), (b, _) in zip(classes, classes[1:]) if a == b)
-    orbits, sums = _built_orbits(tree, budget, weight)
+    orbits, sums = _built_orbits(tree, weight)
     same = [(o, s) for o, s in zip(orbits, sums) if o.size == size]
     first, value = same[0]
     other = next(o for o, s in same if s != value)

@@ -453,10 +453,10 @@ def _tile_counts(
     masks = _column_masks(cylinder, tiling.columns)
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for iv, spec in tree.interval_specs.items():
-        # the nodes strictly above I's top are those of the strictly
-        # nested intervals; a leaf's branch nests none
+        # the nodes strictly above I's top, ids top + 1 .. top + size - 1,
+        # are those of the strictly nested intervals; a leaf's branch nests none
         top = spec.nodes[0]
-        nested = tree.up[top] & ~(1 << top)
+        nested = ((1 << (tree.sizes[top] - 1)) - 1) << (top + 1)
         cols = sum(1 for m in masks if m & nested) if nested else 0
         out[iv] = (m_counts[iv], cols)
     return out

@@ -160,6 +160,27 @@ def parent_vectors(n):
     return out
 
 
+def parent_table_error(parents):
+    """Why ``parents`` is not the preorder parent table of a plane tree, in
+    ``RootedTree``'s words, for the first node that shows it; None if it
+    is one.  Node i's parent must be i - 1 or one of its ancestors."""
+    if not parents or parents[0] is not None:
+        return "parents[0] must be None (the root)"
+    for i in range(1, len(parents)):
+        p = parents[i]
+        if p is None:
+            return f"node {i} has no parent"
+        if type(p) is not int:
+            return f"parent {p!r} of node {i} is not an int"
+        ancestors, y = set(), i - 1
+        while y is not None:
+            ancestors.add(y)
+            y = parents[y]
+        if p not in ancestors:
+            return f"ids are not in preorder: parent of {i} must be an ancestor of {i - 1}"
+    return None
+
+
 def all_posets(n):
     """Every transitively closed strict relation inside {(i,j): i < j}."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -221,6 +242,22 @@ def leaf_intervals(parents):
         below = [label[y] for y in leaves if y == x or (x, y) in rel]
         iv[x] = (min(below), max(below))
     return iv
+
+
+def subtree_sizes(parents):
+    """Per node: itself and every node above it."""
+    rel = relations_from_parents(parents)
+    return [1 + sum((x, y) in rel for y in range(len(parents))) for x in range(len(parents))]
+
+
+def side_masks(parents):
+    """Per node x: the children of every y <= x, as a bitmask."""
+    rel = relations_from_parents(parents)
+    n = len(parents)
+    return [
+        sum(1 << c for c in range(1, n) if parents[c] == x or (parents[c], x) in rel)
+        for x in range(n)
+    ]
 
 
 def interval_tilings(family, lo, hi):

@@ -436,9 +436,9 @@ class TestVerify:
         calls = []
         build = rowmotion._built_orbits
 
-        def counted(tree, budget, weight):
+        def counted(tree, weight):
             calls.append(tree.n)
-            return build(tree, budget, weight)
+            return build(tree, weight)
 
         # all_orbits, the orbit sums of stats and observed_profile all
         # build through _built_orbits; stats and families hold their own

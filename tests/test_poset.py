@@ -6,6 +6,7 @@ over every plane tree with at most MAX_N nodes.
 
 import itertools
 import random
+import re
 from enum import IntEnum
 
 import pytest
@@ -57,24 +58,46 @@ class TestParseTree:
             parse_tree(bad)
 
     def test_parent_table_must_be_preorder(self):
-        with pytest.raises(ValueError):
-            RootedTree([None, 0, 0, 1])  # parent 1 is not on node 2's path
-        with pytest.raises(ValueError):
-            RootedTree([0])
-        with pytest.raises(ValueError):
-            RootedTree([None, None])
-        with pytest.raises(ValueError):
-            RootedTree([None, 2, 0])  # a parent past its child
-        with pytest.raises(ValueError):
-            RootedTree([None, 1])  # a node its own parent
-        with pytest.raises(ValueError):
-            RootedTree([None, -1])
+        preorder = "ids are not in preorder: parent of {} must be an ancestor of {}"
+        cases = [
+            ([None, 0, 0, 1], preorder.format(3, 2)),  # 1 is not on node 2's path
+            ([0], "parents[0] must be None (the root)"),
+            ([], "parents[0] must be None (the root)"),
+            ([None, None], "node 1 has no parent"),
+            ([None, 2, 0], preorder.format(1, 0)),  # a parent past its child
+            ([None, 1], preorder.format(1, 0)),  # a node its own parent
+            ([None, -1], preorder.format(1, 0)),
+            ([None, 0, 1, 2, 0, 2], preorder.format(5, 4)),  # 2 closed at 4
+            ([None, 0, 1, None], "node 3 has no parent"),
+        ]
+        for parents, message in cases:
+            assert oracles.parent_table_error(parents) == message
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RootedTree(parents)
+
+    def test_every_small_parent_table_refused_as_the_oracle_says(self):
+        # each entry None, -1 or an id up to one past the end: the tree is
+        # built from the table alone, so the table checks are all it gets
+        for n in range(6):
+            trees = set(oracles.parent_vectors(n)) if n else set()
+            for parents in itertools.product((None, *range(-1, n + 1)), repeat=n):
+                message = oracles.parent_table_error(parents)
+                if message is None:
+                    assert parents in trees
+                    assert RootedTree(parents).parents == parents
+                    continue
+                with pytest.raises(ValueError) as err:
+                    RootedTree(parents)
+                assert str(err.value) == message
 
     @pytest.mark.parametrize("parent", [True, False, 0.0, 1.0, "0"])
     def test_parents_are_ints(self, parent):
         # True would otherwise stand for parent 1
-        with pytest.raises(ValueError, match="of node 2 is not an int"):
-            RootedTree([None, 0, parent])
+        for head in ([None], [None, 0], [None, 0, 1, 1]):
+            message = f"parent {parent!r} of node {len(head)} is not an int"
+            assert oracles.parent_table_error([*head, parent, 0]) == message
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RootedTree([*head, parent, 0])
 
 
 class TestPoset:
@@ -137,6 +160,65 @@ class TestPoset:
                 for x in range(base.n):
                     assert set(poset.lower_covers[x]) == {a for a, b in covers if b == x}
                     assert set(poset.upper_covers[x]) == {b for a, b in covers if a == x}
+
+
+class TestTreeTables:
+    """A tree is built from its parent table alone, not by Poset.__init__,
+    and builds its masks when each is first read."""
+
+    MASKS = ("down", "up", "side")
+
+    def test_tables_match_the_general_poset(self):
+        count = 0
+        for n in range(1, 11):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                poset = Poset(n, [(parents[i], i) for i in range(1, n)])
+                for name in ("covers", "lower_covers", "upper_covers", "down", "up", "full_mask"):
+                    assert getattr(tree, name) == getattr(poset, name), (parents, name)
+                assert linear_extension(tree) == linear_extension(poset)
+                assert tree.children == tree.upper_covers
+                assert list(tree.side) == oracles.side_masks(parents)
+                assert list(tree.sizes) == oracles.subtree_sizes(parents)
+                count += 1
+        assert count == sum(oracles.TREE_COUNTS) == 6918
+
+    def test_masks_built_on_first_read(self):
+        tree = parse_tree(STAR_332)
+        assert not set(self.MASKS) & set(vars(tree))
+        assert tree.up[1] == 0b110 and "up" in vars(tree)
+        assert tree.up is tree.up  # kept once built
+        for name in ("bogus", "__setstate__", "_down"):
+            assert not hasattr(tree, name)
+        with pytest.raises(AttributeError, match="bogus"):
+            tree.bogus
+
+    def test_folds_and_verdicts_build_no_mask(self):
+        from treerow import (
+            Statistic,
+            check_homomesy,
+            check_homometry,
+            make_family,
+            observed_profile,
+            parse_family,
+            parse_statistic,
+            rho_antichain,
+        )
+
+        def fresh():
+            return make_family(parse_family("cbt:3"))  # hatchi is not homometric
+
+        stats = [Statistic.chi(), Statistic.hatchi(), parse_statistic("hatchi_x:9 - chi_x:3")]
+        calls = [lambda tree: tree.count_antichains(), observed_profile]
+        calls += [lambda tree, s=s: check_homometry(tree, s) for s in stats]
+        calls += [lambda tree, s=s: check_homomesy(tree, s) for s in stats]
+        for call in calls:
+            tree = fresh()
+            call(tree)
+            assert not set(self.MASKS) & set(vars(tree))
+        tree = fresh()
+        rho_antichain(tree, [1])
+        assert {"side", "down"} <= set(vars(tree))
 
 
 class TestIntervals:

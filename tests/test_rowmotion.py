@@ -1,6 +1,7 @@
 """Rowmotion, toggles, and orbit enumeration against the naive oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -425,3 +426,16 @@ class TestOrbitsFromSubtrees:
             all_orbits(cbt6)
         assert err.value.needed == cbt6.count_antichains() > 10**22
         assert joins == []
+
+    def test_budget_refusal_builds_no_mask(self):
+        # cbt:14 has 32,767 nodes, and its down, up and side masks take
+        # O(n^2) bits, about 200 MiB; counting the antichains reads only
+        # the branches.  The refusal peaks at about 28 MiB (CPython 3.11).
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                all_orbits(make_family(parse_family("cbt:14")), budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

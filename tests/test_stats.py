@@ -457,9 +457,9 @@ class TestFoldedSums:
         calls = []
         build = stats_module._built_orbits
 
-        def counted(tree, budget, weight):
+        def counted(tree, weight):
             calls.append(tree.n)
-            return build(tree, budget, weight)
+            return build(tree, weight)
 
         monkeypatch.setattr(stats_module, "_built_orbits", counted)
         star = make_family(parse_family("star:5,7,8,9,11"))
@@ -472,6 +472,36 @@ class TestFoldedSums:
         cbt = make_family(parse_family("cbt:3"))
         assert not check_homometry(cbt, Statistic.chi()).is_homometric
         assert calls == [cbt.n]
+
+    def test_each_verdict_counts_the_antichains_once(self, monkeypatch):
+        # the budget check's count; a negative verdict's witness build
+        # does not count them again
+        calls = []
+        count = RootedTree.count_antichains
+
+        def counting(tree):
+            calls.append(tree.n)
+            return count(tree)
+
+        monkeypatch.setattr(RootedTree, "count_antichains", counting)
+        cbt3 = make_family(parse_family("cbt:3"))
+        zipper = make_family(parse_family("zipper:3"))
+        single_orbit = make_family(parse_family("star:2,3"))
+        verdicts = [
+            (check_homometry, cbt3, Statistic.hatchi(), False),
+            (check_homometry, cbt3, Statistic.chi(), False),
+            (check_homometry, zipper, Statistic.hatchi(), True),
+            (check_homomesy, STAR_332, Statistic.chi(), False),
+            (check_homomesy, single_orbit, Statistic.hatchi_x(2), True),
+        ]
+        for check, tree, stat, positive in verdicts:
+            calls.clear()
+            assert (check(tree, stat).witness is None) is positive
+            assert calls == [tree.n], (check.__name__, stat.spec())
+        for build in (all_orbits, observed_profile):
+            calls.clear()
+            build(cbt3)
+            assert calls == [cbt3.n]
 
     def test_negative_verdicts_read_the_statistic_once(self, monkeypatch):
         """The fold and the witness's build take one ``(c0, w)`` pair, from
