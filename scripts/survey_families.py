@@ -2,9 +2,9 @@
 """Sweep the named tree families and diff closed-form orbit tables
 against enumeration.
 
-The observed table of each tree comes from one orbit build
-(`verify_family`): the hatchi sums are carried through the build and chi
-is counted off the members' masks.
+The observed table of each tree comes from one orbit fold
+(`verify_family`): the chi and hatchi sums are both carried through it,
+and its cycles are tallied with no orbit rotated or sorted.
 
 Prints one line per family descriptor and a per-class table for any
 mismatch.  Exit status 1 if anything disagrees, so the script doubles

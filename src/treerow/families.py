@@ -12,14 +12,14 @@ the orbit through the empty antichain grows, and every nonempty ideal
 gains the chain).  The three-leaf table is the class fold over its tree
 (`rowmotion._class_table`, the fold of `stats`' homomesy and homometry
 verdicts), which joins by the same step and reads its root steps off
-chi's and hatchi's ``(c0, w)`` pairs; `rowmotion` turns such a pair into
-orbit sums.  Classes are labelled O1, O2, ... once, when a step or
-`observed_profile` returns them, the delta class first, then by key
-(`_in_class_order`).  `observed_profile` enumerates: it builds the
-orbits once, carrying each orbit's hatchi sum through the build
-(`rowmotion._hatchi_weight`), and counts the members' chi from their
-masks.  It is the table that the closed forms and both steps are checked
-against; the tests hold it to a member-by-member sum.
+chi's and hatchi's ``(c0, w)`` pairs (`_profile_weights`).  Classes are
+labelled O1, O2, ... once, when a step or `observed_profile` returns
+them, the delta class first, then by key (`_in_class_order`).
+`observed_profile` enumerates: it runs the orbit fold once
+(`rowmotion._orbit_cycles`) on the same two pairs, so chi and hatchi
+sums both come from it, and tallies its cycles as they come.  It is the
+table that the closed forms and both steps are checked against; the
+tests hold it to a member-by-member sum.
 
 The complete binary tree is deliberately not predictable: at depth 3 it
 is the standard witness that equal-size orbits can carry different chi
@@ -31,6 +31,7 @@ The public names, like every layer's, are listed once, in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -41,11 +42,11 @@ from .errors import SpecParseError, UnsupportedFamilyError
 from .poset import RootedTree, _decimal, _least_int, parse_tree
 from .rowmotion import (
     DEFAULT_ANTICHAIN_BUDGET,
-    _built_orbits,
     _check_budget,
     _class_table,
     _hatchi_weight,
     _join_classes,
+    _orbit_cycles,
 )
 
 __all__ = list(_EXPORTS["families"])
@@ -401,6 +402,10 @@ def _zipper_classes(n: int) -> list[OrbitClass]:
 _Table = dict[tuple[int, int, int, int], int]
 
 
+def _profile_weights(tree: RootedTree) -> tuple:  # chi's and hatchi's (c0, w) pairs
+    return (0, [1] * tree.n), _hatchi_weight(tree)
+
+
 def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
     """Closed-form orbit table; refuses the complete binary tree."""
     if isinstance(desc, (Star, ExtendedStar)):
@@ -408,8 +413,7 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
         return OrbitProfile(tuple(_star_classes(b, desc.alphas)))
     if isinstance(desc, ThreeLeaf):
         tree = make_family(desc)
-        chi = 0, [1] * tree.n
-        return OrbitProfile(_labeled(_class_table(tree, (chi, _hatchi_weight(tree)))))
+        return OrbitProfile(_labeled(_class_table(tree, _profile_weights(tree))))
     if isinstance(desc, Tk):
         k = desc.k
         classes = (
@@ -431,10 +435,9 @@ def predicted_profile(desc: FamilyDescriptor) -> OrbitProfile:
 
 def _normalize(classes) -> _Table:
     """The (size, delta, chi, hatchi) -> count table of some classes."""
-    out: _Table = {}
+    out = Counter()
     for c in classes:
-        key = (c.size, c.delta, c.chi, c.hatchi)
-        out[key] = out.get(key, 0) + c.count
+        out[c.size, c.delta, c.chi, c.hatchi] += c.count
     return out
 
 
@@ -491,15 +494,12 @@ def extend_root_transfer(profile: OrbitProfile, delta_beta: int) -> OrbitProfile
 def observed_profile(
     tree: RootedTree, budget: int = DEFAULT_ANTICHAIN_BUDGET
 ) -> OrbitProfile:
-    """Enumerated orbit table: one orbit build, which carries each orbit's
-    hatchi sum, and each orbit's chi counted off its members' masks."""
+    """Enumerated orbit table: the orbit fold's cycles and the chi and
+    hatchi sums it carries, tallied with no orbit rotated or sorted."""
     _check_budget(tree, budget)
-    orbits, sums = _built_orbits(tree, _hatchi_weight(tree))
-    table: _Table = {}
-    for orbit, hatchi in zip(orbits, sums):
-        key = (orbit.size, orbit.delta, sum(map(int.bit_count, orbit.masks)), hatchi)
-        table[key] = table.get(key, 0) + 1
-    return OrbitProfile(_labeled(table))
+    cycles, (chi, hatchi) = _orbit_cycles(tree, _profile_weights(tree))
+    deltas = [1] + [0] * (len(cycles) - 1)
+    return OrbitProfile(_labeled(Counter(zip(map(len, cycles), deltas, chi, hatchi))))
 
 
 @dataclass(frozen=True)
@@ -538,6 +538,7 @@ def verify_family(
     name = descriptor_string(desc)
     tree = make_family(desc)
     observed = observed_profile(tree, budget=budget)
+    observed_total = observed.total_antichains
     if isinstance(desc, CompleteBinary):
         # a statistic is homometric iff each orbit size carries one sum
         sizes = len({c.size for c in observed.classes})
@@ -549,8 +550,8 @@ def verify_family(
             name,
             ok=confirmed if desc.depth == 3 else True,
             diffs=(),
-            predicted_total=observed.total_antichains,
-            observed_total=observed.total_antichains,
+            predicted_total=observed_total,
+            observed_total=observed_total,
             note=(
                 "no closed-form table; homometry failure "
                 + ("confirmed" if confirmed else "NOT confirmed")
@@ -563,6 +564,5 @@ def verify_family(
         for key in _in_class_order(set(want) | set(got))
     )
     predicted_total = predicted.total_antichains
-    observed_total = tree.count_antichains()
     ok = all(d.ok for d in diffs) and predicted_total == observed_total
     return FamilyReport(name, ok, diffs, predicted_total, observed_total)

@@ -14,20 +14,21 @@ below a forest only puts ``{root}`` just after ``{}`` in the cycle through
 `poset._fold` over the branches.  `orbit_of` still takes rowmotion steps,
 and `enumerate_antichains` still walks the antichains one by one.
 
-The build (`_built_orbits`) can also carry a statistic's sum over each
-orbit.  Rowmotion permutes each orbit, and the complement of ``down(A)``
-is the disjoint union of the subtrees ``up[y]``, y in ``rho(A)``, so any
-statistic is a pair ``(c0, w)`` (`_hatchi_weight`, `stats._weight`) that
-sums over an orbit ``O`` to ``c0 * |O|`` plus ``w[y]`` over the elements
-``y`` of its members; this module alone applies that rule.  A joined
-cycle holds each member of ``A`` lcm/a times and each of ``B`` lcm/b
-times, so its weight sum is ``lcm/a * S_A + lcm/b * S_B``; a root step
-adds ``w[x] + ... + w[j]`` to the delta cycle, its singletons being the
-only new members; ``c0 * |O|`` is added once the fold is done.
-`all_orbits` is the same build with no statistic.  `_class_table` runs
-the fold on class tables ``(size, delta, *sums) -> count`` instead, with
-no antichain built: `_join_classes` pairs classes as `_join` pairs
-cycles.  `stats` takes its homomesy and homometry verdicts from it, and
+The fold (`_orbit_cycles`) carries, per orbit, the sum of each statistic
+it is given.  Rowmotion permutes each orbit, and the complement of
+``down(A)`` is the disjoint union of the subtrees ``up[y]``, y in
+``rho(A)``, so any statistic is a pair ``(c0, w)`` (`stats._weight`,
+`_hatchi_weight`; chi is ``(0, [1] * n)``) that sums over an orbit ``O``
+to ``c0 * |O|`` plus ``w[y]`` over the elements ``y`` of its members;
+this module alone applies that rule.  A joined cycle holds each member
+of ``A`` lcm/a times and each of ``B`` lcm/b times, so its weight sum is
+``lcm/a * S_A + lcm/b * S_B``; a root step adds ``w[x] + ... + w[j]`` to
+the delta cycle, its singletons being the only new members; ``c0 * |O|``
+is added once the fold is done.  `_built_orbits` is the fold put in
+enumeration order; `families.observed_profile` tallies its raw cycles.
+`_class_table` runs the fold on class tables ``(size, delta, *sums) ->
+count`` instead, with no antichain built: `_join_classes` pairs classes
+as `_join` pairs cycles.  `stats` takes its verdicts from it, and
 `families` its three-leaf table and the union of `combine_profiles`.
 
 Ideal toggles are the PL toggles (`_pl_run`, shared with `continuous`)
@@ -51,6 +52,8 @@ from .poset import (
 __all__ = list(_EXPORTS["rowmotion"])
 
 DEFAULT_ANTICHAIN_BUDGET = 10**6
+
+_Weights = Sequence[tuple[int, Sequence[int]]]  # (c0, w) pairs, the module docstring's
 
 
 def _antichain_mask(tree: Poset, members: Iterable[int]) -> int:
@@ -312,9 +315,9 @@ def _antichain_masks(tree: RootedTree, budget: int) -> list[int]:
     return out
 
 
-def _join(left_built: tuple, right_built: tuple) -> tuple[list, Optional[list]]:
+def _join(left_built: tuple, right_built: tuple) -> tuple[list, list]:
     """The ``(cycles, sums)`` of the disjoint union of two forests, from
-    each one's (the sums None if theirs are).
+    each one's, ``sums`` holding one list per ``(c0, w)`` pair.
 
     Rowmotion acts componentwise, so cycles ``A`` and ``B`` of sizes a and
     b give gcd(a, b) cycles of size lcm(a, b), cycle s running through
@@ -336,13 +339,13 @@ def _join(left_built: tuple, right_built: tuple) -> tuple[list, Optional[list]]:
             a_run = a * (size_b // g)
             for s in range(g):
                 out.append(list(map(or_, a_run, (b[s:] + b[:s]) * reps_b)))
-    if left_sums is None:
-        return out, None
     sums = []
-    for a, sum_a in zip(left, left_sums):
-        for b, sum_b in zip(right, right_sums):
-            g = gcd(len(a), len(b))
-            sums += [len(b) // g * sum_a + len(a) // g * sum_b] * g
+    for pair_a, pair_b in zip(left_sums, right_sums):  # one pass per pair
+        sums.append(pair := [])
+        for a, sum_a in zip(left, pair_a):
+            for b, sum_b in zip(right, pair_b):
+                g = gcd(len(a), len(b))
+                pair += [len(b) // g * sum_a + len(a) // g * sum_b] * g
     return out, sums
 
 
@@ -369,12 +372,10 @@ def _join_classes(left: dict, right: dict) -> dict:
     return table
 
 
-def _class_table(
-    tree: RootedTree, weights: Sequence[tuple[int, Sequence[int]]]
-) -> dict:
+def _class_table(tree: RootedTree, weights: _Weights) -> dict:
     """The orbits of ``tree`` as a class table ``(size, delta, *S) -> count``,
     the delta class first, ``S`` holding the sum over an orbit of each
-    ``(c0, w)`` pair in ``weights``, with no antichain built: `_built_orbits`'
+    ``(c0, w)`` pair in ``weights``, with no antichain built: `_orbit_cycles`'
     fold, run on the classes.  A root step adds a branch's nodes to the
     delta class's size and their weights to its sums, and leaves every
     other class as it is; ``c0 * size`` is added to each sum at the end."""
@@ -389,12 +390,10 @@ def _class_table(
         return out
 
     table = _fold(tree, {(1, 1, *[0] * len(weights)): 1}, _join_classes, root)
-    for i, (c0, _) in enumerate(weights, 2):  # key[i]: this statistic's sum
-        table = {
-            key[:i] + (c0 * key[0] + key[i],) + key[i + 1 :]: count
-            for key, count in table.items()
-        }
-    return table
+    return {
+        (size, delta, *[c0 * size + s for (c0, _), s in zip(weights, sums)]): count
+        for (size, delta, *sums), count in table.items()
+    }
 
 
 def all_orbits(
@@ -417,7 +416,7 @@ def all_orbits(
     each orbit it has not seen, would meet them.
     """
     _check_budget(tree, budget)
-    return _built_orbits(tree, None)[0]
+    return _built_orbits(tree, ())[0]
 
 
 def _hatchi_weight(tree: RootedTree) -> tuple[int, list[int]]:
@@ -428,35 +427,36 @@ def _hatchi_weight(tree: RootedTree) -> tuple[int, list[int]]:
     return tree.n, [-s for s in tree.sizes]
 
 
-def _built_orbits(
-    tree: RootedTree, weight: Optional[tuple[int, Sequence[int]]]
-) -> tuple[tuple[Orbit, ...], Optional[list[int]]]:
-    """`all_orbits`, and the sum over each orbit of the ``(c0, w)`` pair
-    ``weight``, carried through the build as the module docstring says.
-    With ``weight`` None no sum is taken, and the sums come back None.  The
+def _orbit_cycles(tree: RootedTree, weights: _Weights) -> tuple[list, list]:
+    """The orbits as raw mask cycles, the delta cycle first with {} at
+    index 0, and ``sums[k][i]``, the sum over cycle i of the pair
+    ``weights[k]`` (``()``: no sums), as the module docstring says.  The
     caller checks the budget first, once: a verdict has checked it for its
-    fold already.  The build is a `_fold`; a subtree's value is its cycles,
-    the delta cycle first with {} at index 0, and their weight sums.  The
-    cycles are lists: the freed ones go back to the allocator, where tuples
-    would stay on CPython's per-size free lists and raise the peak memory.
-    """
+    fold already.  The cycles are lists: the freed ones go back to the
+    allocator, where tuples would stay on CPython's per-size free lists
+    and raise the peak memory."""
 
     def root(built, spec):
-        cycles, sums = built[0].copy(), built[1]
+        cycles, sums = built[0].copy(), built[1].copy()
         # {top}, ..., {deepest} go just after {}, in a copy: the leaf value is shared
         cycles[0] = [0, *[1 << x for x in reversed(spec.nodes)], *cycles[0][1:]]
-        if sums is not None:
-            sums = [sums[0] + sum([w[x] for x in spec.nodes]), *sums[1:]]
+        for k, (_, w) in enumerate(weights):
+            sums[k] = [sums[k][0] + sum([w[x] for x in spec.nodes]), *sums[k][1:]]
         return cycles, sums
 
-    c0, w = (0, None) if weight is None else weight
-    leaf = [[0]], None if w is None else [0]
-    (delta, *rest), sums = _fold(tree, leaf, _join, root)
+    leaf = [[0]], [[0]] * len(weights)
+    cycles, sums = _fold(tree, leaf, _join, root)
+    for k, (c0, _) in enumerate(weights):
+        sums[k] = [c0 * len(c) + s for c, s in zip(cycles, sums[k])]
+    return cycles, sums
+
+
+def _built_orbits(tree: RootedTree, weights: _Weights) -> tuple[tuple, list]:
+    """`all_orbits` and the fold's sums in enumeration order: each cycle but
+    the delta cycle rotated by `_canonical`, then sorted by `_lex_key`."""
+    (delta, *rest), sums = _orbit_cycles(tree, weights)
     rest = list(map(_canonical, map(tuple, rest)))
     keys = [_lex_key(c[0]) for c in rest]
     order = sorted(range(len(rest)), key=keys.__getitem__)
     orbits = (Orbit._of(tuple(delta)), *[Orbit._of(rest[i]) for i in order])
-    if sums is not None:
-        sums = [sums[0], *[sums[i + 1] for i in order]]
-        sums = [c0 * o.size + s for o, s in zip(orbits, sums)]
-    return orbits, sums
+    return orbits, [[pair[0], *[pair[i + 1] for i in order]] for pair in sums]

@@ -28,8 +28,9 @@ antichain's members are disjoint subtrees, so
 
 So every statistic is a constant ``c0`` and a weight ``w[y]`` per node,
 read off its terms by `_weight` (hatchi's pair is
-`rowmotion._hatchi_weight`, which `families` reads too), and `rowmotion`
-alone turns such a pair into orbit sums (its module docstring).
+`rowmotion._hatchi_weight`), and `rowmotion` alone turns such pairs into
+orbit sums, any number in one fold (its module docstring); `families`
+takes chi's and hatchi's from one fold alike.
 
 A verdict needs only how many orbits of each size carry each sum:
 `check_homomesy` and `check_homometry` take their verdict, the constant
@@ -39,9 +40,9 @@ orbits (`rowmotion._built_orbits`, from the same pair), to name its
 witness in enumeration order.  Both check the node ids first and then
 the budget, as the enumeration would, though the fold has no more
 classes than the tree has antichains.  The CLI's ``stats`` lists every
-orbit, so it takes the build too (`_orbit_sums`).  `eval_statistic` and
-`orbit_sum` (on an orbit it is given) still sum member by member through
-`_term_sums`.
+orbit, so it takes the build, the fold in enumeration order, too
+(`_orbit_sums`).  `eval_statistic` and `orbit_sum` (on an orbit it is
+given) still sum member by member through `_term_sums`.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class Statistic:
                     f"{atom} {'needs' if node is None else 'does not take'} a node id"
                 )
             _least_int("coefficient", coeff)
-            if node is not None:
-                _least_int("node id", node)
+            # its spec would be chi_x:-1, which parse_statistic refuses
+            if node is not None and _least_int("node id", node) < 0:
+                raise ValueError(f"node id must be >= 0, got {node}")
 
     @classmethod
     def chi(cls) -> "Statistic":
@@ -242,7 +244,8 @@ def _orbit_sums(
     before any enumeration."""
     weight = _weight(tree, stat)
     _check_budget(tree, budget)
-    return _built_orbits(tree, weight)
+    orbits, (sums,) = _built_orbits(tree, (weight,))
+    return orbits, sums
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ def check_homomesy(
     (size, _, total), *rest = _class_table(tree, (weight,))
     if all(s * size == total * o_size for o_size, _, s in rest):
         return HomomesyVerdict(True, constant=Fraction(total, size))
-    orbits, sums = _built_orbits(tree, weight)
+    orbits, (sums,) = _built_orbits(tree, (weight,))
     other = next(o for o, s in zip(orbits, sums) if s * size != total * o.size)
     return HomomesyVerdict(False, witness=(orbits[0], other))
 
@@ -325,7 +328,7 @@ def check_homometry(
     if len(table) == len(classes):
         return HomometryVerdict(True, class_table=table)
     size = next(a for (a, _), (b, _) in zip(classes, classes[1:]) if a == b)
-    orbits, sums = _built_orbits(tree, weight)
+    orbits, (sums,) = _built_orbits(tree, (weight,))
     same = [(o, s) for o, s in zip(orbits, sums) if o.size == size]
     first, value = same[0]
     other = next(o for o, s in same if s != value)

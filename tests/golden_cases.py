@@ -36,6 +36,7 @@ CASES = {
     "verify_tk2.json": ["verify", "--family", "tk:2"],
     "verify_zipper1.json": ["verify", "--family", "zipper:1"],
     "verify_cbt3.json": ["verify", "--family", "cbt:3"],
+    "verify_threeleaf12321.json": ["verify", "--family", "threeleaf:1,2,3,2,1"],
     "birational_grid22.json": ["birational", "--grid", "2x2", "--seed", "1"],
     "birational_grid22_modp.json": [
         "birational", "--grid", "2x2", "--seed", "1", "--mode", "modp:10007",

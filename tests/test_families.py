@@ -21,7 +21,7 @@ from treerow import (
     predicted_profile,
     verify_family,
 )
-from treerow import families, poset, rowmotion, stats
+from treerow import families, poset, rowmotion
 from treerow.errors import (
     BudgetExceededError,
     SpecParseError,
@@ -434,23 +434,38 @@ class TestVerify:
 
     def test_complete_binary_enumerates_once(self, monkeypatch):
         calls = []
-        build = rowmotion._built_orbits
+        fold = rowmotion._orbit_cycles
 
-        def counted(tree, weight):
+        def counted(tree, weights):
             calls.append(tree.n)
-            return build(tree, weight)
+            return fold(tree, weights)
 
         # all_orbits, the orbit sums of stats and observed_profile all
-        # build through _built_orbits; stats and families hold their own
-        # bindings
-        for module in (rowmotion, stats, families):
-            monkeypatch.setattr(module, "_built_orbits", counted)
+        # build through the fold _orbit_cycles; families holds its own
+        # binding
+        for module in (rowmotion, families):
+            monkeypatch.setattr(module, "_orbit_cycles", counted)
         assert verify_family(parse_family("cbt:3")).ok
         assert calls == [15]
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             verify_family(parse_family("comb:5"), budget=10)
+
+    @pytest.mark.parametrize("text", ["tk:3", "threeleaf:1,2,3,2,1", "cbt:3"])
+    def test_observed_total_is_read_off_the_observed_table(self, text, monkeypatch):
+        # an enumeration that lost a class shows it in its total too
+        observed = families.observed_profile
+
+        def lossy(tree, budget):
+            return OrbitProfile(observed(tree, budget=budget).classes[1:])
+
+        monkeypatch.setattr(families, "observed_profile", lossy)
+        desc = parse_family(text)
+        lost = observed(make_family(desc)).classes[0]
+        report = verify_family(desc)
+        full = make_family(desc).count_antichains()
+        assert report.observed_total == full - lost.size * lost.count
 
     def test_observed_profile_matches_prediction_for_star(self):
         desc = parse_family("star:3,2")

@@ -162,6 +162,18 @@ class TestStatisticAlgebra:
         assert (-1 * chi_x).terms == ((-1, "chi_x", 1),)
         assert (Statistic.chi() - chi_x).terms == ((1, "chi", None), (-1, "chi_x", 1))
 
+    def test_negative_node_ids_refused(self):
+        # chi_x:-1 would be a spec that parse_statistic refuses
+        for make in (Statistic.chi_x, Statistic.hatchi_x):
+            with pytest.raises(ValueError, match="^node id must be >= 0, got -1$"):
+                make(-1)
+        with pytest.raises(ValueError, match="^node id must be >= 0, got -3$"):
+            Statistic(((1, "chi", None), (2, "hatchi_x", -3)))
+
+    def test_every_atom_reads_back_from_its_spec(self):
+        for stat in every_atom(STAR_332):
+            assert parse_statistic(stat.spec()) == stat, stat
+
     @pytest.mark.parametrize("node", [True, False, 1.0, 0.5])
     def test_node_ids_are_ints(self, node):
         # True would otherwise stand for node 1
@@ -724,3 +736,50 @@ class TestOrbitSumsFromTheBuild:
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--family", "zipper:2"]) == 0
         assert calls == []
+
+
+class TestOneOrbitFold:
+    """`rowmotion._orbit_cycles` is the one orbit fold: `_class_table` runs
+    it on classes, `_built_orbits` puts its cycles in enumeration order and
+    `observed_profile` tallies them; all three take ``weights`` as a
+    sequence of ``(c0, w)`` pairs, here none to three of chi, hatchi and
+    `mixed`, on every plane tree with at most eight nodes."""
+
+    @staticmethod
+    def cases():
+        for n in range(1, 9):
+            for parents in oracles.parent_vectors(n):
+                tree = RootedTree(parents)
+                stats = (Statistic.chi(), Statistic.hatchi(), mixed(tree))
+                for k in range(4):
+                    weights = [stats_module._weight(tree, s) for s in stats[:k]]
+                    yield tree, stats[:k], weights
+
+    def test_fold_tally_is_the_class_table(self):
+        count = 0
+        for tree, _, weights in self.cases():
+            cycles, sums = rowmotion._orbit_cycles(tree, weights)
+            assert len(sums) == len(weights)
+            deltas = [1] + [0] * (len(cycles) - 1)
+            tally = Counter(zip(map(len, cycles), deltas, *sums))
+            assert tally == rowmotion._class_table(tree, weights), tree.to_spec()
+            count += 1
+        assert count == 626 * 4
+
+    def test_build_orders_the_fold(self):
+        for tree, stats, weights in self.cases():
+            orbits, sums = rowmotion._built_orbits(tree, weights)
+            assert orbits == all_orbits(tree)
+            assert sums == [
+                stats_module._orbit_sums(tree, stat, 10**6)[1] for stat in stats
+            ], tree.to_spec()
+
+    def test_observed_profile_neither_rotates_nor_sorts(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("observed_profile put an orbit in order")
+
+        monkeypatch.setattr(rowmotion, "_canonical", refused)
+        monkeypatch.setattr(rowmotion, "_lex_key", refused)
+        monkeypatch.setattr(rowmotion.Orbit, "_of", classmethod(refused))
+        for family in ("zipper:2", "cbt:3", "threeleaf:1,2,3,2,1"):
+            assert observed_profile(make_family(parse_family(family))).classes
